@@ -44,7 +44,7 @@ from .model import (
     score_and_information,
     select_rank,
 )
-from .penalties import PenaltySpec, penalized_block_update, penalty_value, threshold_update
+from .penalties import PenaltySpec, penalty_value, threshold_update
 from .shapes import (
     SHAPE_NAMES,
     ShapeSpec,

@@ -25,7 +25,7 @@ from .model import (
     effective_parameters,
     fit,
     model_from_document,
-    model_to_document,
+    save_model,
     select_rank,
 )
 from .penalties import PenaltySpec
@@ -166,9 +166,7 @@ def _fit_config(args, rank):
 def _write_model_outputs(model, outdir):
     os.makedirs(outdir, exist_ok=True)
     model_path = os.path.join(outdir, "model.json")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_document(model), fh, indent=1)
-        fh.write("\n")
+    save_model(model, model_path)
     tio.write_trace_csv(os.path.join(outdir, "trace.csv"), model.trace)
     if len(model.dims) == 2:
         tio.write_pgm(

@@ -16,13 +16,15 @@ tables use the fixed schema in :data:`tensorreg.shapes.STUDY_COLUMNS`.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 
 import numpy as np
 
 from .errors import DomainError, ParseError
 from .shapes import STUDY_COLUMNS
-from .tensor_core import DenseTensor
+from .tensor_core import stack_vec, unstack_vec
 
 __all__ = [
     "write_tensor_file",
@@ -41,56 +43,55 @@ _MAGIC = b"TNSR"
 
 def write_tensor_file(path, tensors):
     """Write a stack of equal-dims tensors (or an (n, ...) array) as TNSR."""
-    if isinstance(tensors, np.ndarray):
-        tensors = [DenseTensor.from_array(a) for a in tensors]
-    if not tensors:
-        raise DomainError("cannot write an empty tensor stack")
-    dims = tensors[0].dims
-    for t in tensors:
-        if t.dims != dims:
-            raise DomainError(f"stack dims differ: {t.dims} vs {dims}")
+    dims, rows = stack_vec(tensors)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", len(tensors), len(dims)))
+        fh.write(struct.pack("<II", rows.shape[0], len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        for t in tensors:
-            fh.write(t.data.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(rows, dtype="<f8").data)
 
 
 def parse_tensor_file(path):
-    """Read a TNSR stack back into a list of DenseTensor.
+    """Read a TNSR stack as an ``(n, p_1, ..., p_D)`` float64 array.
 
+    The array views one freshly read, aligned payload in vec order, so
+    :class:`tensorreg.model.TensorGlmDataset` takes it without a copy.
     Strict: wrong magic, impossible headers, and truncated or oversized
     payloads are all :class:`ParseError` with the offending byte counts.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != _MAGIC:
-        raise ParseError(
-            f"{path}: bad magic {blob[:4]!r} at byte 0 (expected {_MAGIC!r})"
-        )
-    if len(blob) < 12:
-        raise ParseError(f"{path}: truncated header ({len(blob)} bytes, need 12)")
-    n, ndim = struct.unpack_from("<II", blob, 4)
-    if n < 1 or ndim < 1:
-        raise ParseError(f"{path}: invalid header n={n}, D={ndim} at byte 4")
-    dims_end = 12 + 4 * ndim
-    if len(blob) < dims_end:
-        raise ParseError(
-            f"{path}: truncated dims block ({len(blob)} bytes, need {dims_end})"
-        )
-    dims = struct.unpack_from(f"<{ndim}I", blob, 12)
-    if any(p < 1 for p in dims):
-        raise ParseError(f"{path}: nonpositive dimension in {dims} at byte 12")
-    per = int(np.prod(dims))
-    expected = dims_end + 8 * per * n
-    if len(blob) != expected:
-        raise ParseError(
-            f"{path}: payload is {len(blob) - dims_end} bytes, dims {tuple(dims)} "
-            f"x {n} samples require {expected - dims_end}"
-        )
-    values = np.frombuffer(blob, dtype="<f8", offset=dims_end)
-    return [DenseTensor(dims, values[i * per : (i + 1) * per]) for i in range(n)]
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != _MAGIC:
+            raise ParseError(
+                f"{path}: bad magic {head[:4]!r} at byte 0 (expected {_MAGIC!r})"
+            )
+        if size < 12:
+            raise ParseError(f"{path}: truncated header ({size} bytes, need 12)")
+        n, ndim = struct.unpack_from("<II", head, 4)
+        if n < 1 or ndim < 1:
+            raise ParseError(f"{path}: invalid header n={n}, D={ndim} at byte 4")
+        dims_end = 12 + 4 * ndim
+        if size < dims_end:
+            raise ParseError(
+                f"{path}: truncated dims block ({size} bytes, need {dims_end})"
+            )
+        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        if any(p < 1 for p in dims):
+            raise ParseError(f"{path}: nonpositive dimension in {dims} at byte 12")
+        per = math.prod(dims)
+        expected = dims_end + 8 * per * n
+        if size != expected:
+            raise ParseError(
+                f"{path}: payload is {size - dims_end} bytes, dims {tuple(dims)} "
+                f"x {n} samples require {expected - dims_end}"
+            )
+        # Read into a fresh array: the payload offset 12 + 4D is not
+        # 8-byte aligned for even D, and BLAS would copy a misaligned view.
+        rows = np.empty((n, per), dtype="<f8")
+        if fh.readinto(rows) != rows.nbytes:
+            raise ParseError(f"{path}: file shrank while its payload was read")
+    return unstack_vec(rows, dims)
 
 
 def _read_csv_rows(path):

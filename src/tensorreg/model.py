@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .tensor_core import (
     khatri_rao_chain,
     mode_d_matricize,
     mode_dd_matricize,
+    stack_vec,
 )
 
 __all__ = [
@@ -69,23 +72,42 @@ __all__ = [
 
 def max_workers():
     """Worker cap for embarrassingly parallel fits (TENSORREG_THREADS)."""
+    value = os.environ.get("TENSORREG_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("TENSORREG_THREADS", "1")))
+        return max(1, int(value))
     except ValueError:
+        warnings.warn(
+            f"TENSORREG_THREADS={value!r} is not an integer; using 1 worker",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return 1
 
 
+_WORKER_PREFIX = "tensorreg-worker"
+
+
 def _run_indexed(tasks, workers):
-    """Run ``tasks`` (callables) and return results in task order."""
-    if workers <= 1 or len(tasks) <= 1:
+    """Run ``tasks`` (callables) and return results in task order.
+
+    Called from a worker of another ``_run_indexed`` pool, the tasks run
+    inline, so nested fits never hold more than ``workers`` threads.
+    """
+    nested = threading.current_thread().name.startswith(_WORKER_PREFIX)
+    if nested or workers <= 1 or len(tasks) <= 1:
         return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_PREFIX) as pool:
         futures = [pool.submit(t) for t in tasks]
         return [f.result() for f in futures]
 
 
 class TensorGlmDataset:
     """Observations ``(y_i, x_i, z_i)`` with tensor covariates of shared dims.
+
+    The covariates are held once, as the ``(n, prod(dims))`` array of
+    :meth:`x_matrix`; an ``x`` that already views such an array in vec
+    order (as :func:`tensorreg.io.parse_tensor_file` returns) is not
+    copied.
 
     Parameters
     ----------
@@ -100,21 +122,9 @@ class TensorGlmDataset:
         n = y.size
         if n < 1:
             raise DomainError("dataset needs at least one observation")
-        if isinstance(x, (list, tuple)):
-            if len(x) != n:
-                raise DomainError(f"{len(x)} tensors for {n} responses")
-            dims = x[0].dims
-            for t in x:
-                if t.dims != dims:
-                    raise DomainError(f"tensor dims differ: {t.dims} vs {dims}")
-            stack = np.stack([t.to_array() for t in x])
-        else:
-            stack = np.asarray(x, dtype=np.float64)
-            if stack.ndim < 2 or stack.shape[0] != n:
-                raise DomainError(
-                    f"covariate stack must have shape (n, p_1, ..., p_D) with n={n}"
-                )
-            dims = stack.shape[1:]
+        dims, vecs = stack_vec(x)
+        if vecs.shape[0] != n:
+            raise DomainError(f"{vecs.shape[0]} tensors for {n} responses")
         if z is None:
             z = np.zeros((n, 0))
         z = np.asarray(z, dtype=np.float64)
@@ -124,10 +134,8 @@ class TensorGlmDataset:
             raise DomainError(f"z has {z.shape[0]} rows for {n} responses")
         self.y = y
         self.z = z
-        self.dims = tuple(int(p) for p in dims)
-        self._stack = np.ascontiguousarray(stack, dtype=np.float64)
-        self._mode_stacks = {}
-        self._x_matrix = None
+        self.dims = dims
+        self._vecs = np.require(vecs, np.float64, ["C", "A"])
 
     @property
     def n(self):
@@ -144,29 +152,11 @@ class TensorGlmDataset:
     @property
     def x(self):
         """The tensor covariates as a list of DenseTensor."""
-        return [DenseTensor.from_array(a) for a in self._stack]
+        return [DenseTensor(self.dims, row) for row in self._vecs]
 
     def x_matrix(self):
-        """``(n, prod(dims))`` matrix whose row i is ``vec(x_i)``."""
-        if self._x_matrix is None:
-            D = self.ndim
-            arr = self._stack.transpose([0] + list(range(D, 0, -1)))
-            self._x_matrix = np.ascontiguousarray(arr).reshape(self.n, -1)
-        return self._x_matrix
-
-    def mode_stack(self, d):
-        """``(n, p_d, prod_{d' != d} p_{d'})`` stack of mode-d matricizations."""
-        if d not in self._mode_stacks:
-            if not 1 <= d <= self.ndim:
-                raise DomainError(f"mode {d} out of range")
-            rest = [k for k in range(1, self.ndim + 1) if k != d]
-            arr = self._stack.transpose([0, d] + rest)
-            # reversing the trailing axes makes a C reshape equal an F flatten
-            arr = arr.transpose([0, 1] + list(range(arr.ndim - 1, 1, -1)))
-            self._mode_stacks[d] = np.ascontiguousarray(arr).reshape(
-                self.n, self.dims[d - 1], -1
-            )
-        return self._mode_stacks[d]
+        """``(n, prod(dims))`` matrix whose row i is ``vec(x_i)`` (not a copy)."""
+        return self._vecs
 
 
 @dataclass
@@ -240,17 +230,34 @@ def build_block_design(dataset, coeff, d):
     Row i is ``vec(X_{i(d)} W_d)`` where ``W_d`` is the Khatri-Rao chain
     of the other factors in descending mode order, so that
     ``row_i . vec(B_d) = <B, x_i>`` with the other blocks frozen.
+
+    Computed by mode products on the vec-order rows, viewed as
+    ``(n, H, p_d, L)`` with ``L`` the product of the dims below mode d and
+    ``H`` of those above: one GEMM with the Khatri-Rao chain of the lower
+    factors, then a reduction over ``H`` with the chain of the upper
+    factors.  For d = 1 there is no lower chain, and each sample is
+    multiplied by the upper chain directly.
     """
     if coeff.dims != dataset.dims:
         raise DomainError(
             f"coefficient dims {coeff.dims} do not match data dims {dataset.dims}"
         )
-    if not 1 <= d <= dataset.ndim:
+    D = dataset.ndim
+    if not 1 <= d <= D:
         raise DomainError(f"mode {d} out of range")
-    chain = factor_chain_omitting(coeff.factors, d)
-    stacked = dataset.mode_stack(d)  # (n, p_d, q_d)
-    out = np.einsum("npq,qr->nrp", stacked, chain)
-    return out.reshape(dataset.n, coeff.rank * dataset.dims[d - 1])
+    n, R, p = dataset.n, coeff.rank, dataset.dims[d - 1]
+    L = math.prod(dataset.dims[: d - 1])
+    H = math.prod(dataset.dims[d:])
+    x = dataset.x_matrix().reshape(n, H, p, L)
+    upper = factor_chain_omitting(coeff.factors, range(1, d + 1))  # (H, R)
+    if d == 1:
+        out = upper.T @ x.reshape(n, H, p)  # (n, R, p)
+    else:
+        lower = factor_chain_omitting(coeff.factors, range(d, D + 1))  # (L, R)
+        t = (x.reshape(-1, L) @ lower).reshape(n, H, p, R)
+        t *= upper[:, None, :]
+        out = t.sum(axis=1).transpose(0, 2, 1)
+    return out.reshape(n, R * p)
 
 
 def effective_parameters(dims, rank, p0):
@@ -389,11 +396,6 @@ def fit(dataset, family, config, init_factors=None):
                     f"needs more than {p * R + p0 + 1} observations"
                 )
 
-    # Warm the layout caches before any threads share the dataset.
-    dataset.x_matrix()
-    for d in range(1, dataset.ndim + 1):
-        dataset.mode_stack(d)
-
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
 
     def one(idx):
@@ -517,14 +519,7 @@ def select_rank(dataset, family, max_rank, config):
         raise DomainError("max_rank must be >= 1")
 
     def run(rank):
-        cfg = FitConfig(
-            rank=rank,
-            epsilon=config.epsilon,
-            max_outer_iters=config.max_outer_iters,
-            restarts=config.restarts,
-            seed=config.seed,
-            penalty=config.penalty,
-        )
+        cfg = replace(config, rank=rank)
 
         def task():
             try:

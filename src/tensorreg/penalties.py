@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
 
-__all__ = ["PenaltySpec", "penalty_value", "threshold_update", "penalized_block_update"]
+__all__ = ["PenaltySpec", "penalty_value", "threshold_update"]
 
 _DEFAULT_LAMBDA = {"elastic_net": 1.5, "scad": 3.7, "bridge": 0.5}
 
@@ -126,6 +125,10 @@ def _scad_threshold(rho, lam, z, w):
 
 
 def _power_threshold(rho, lam, z, w):
+    # imported here: only the bridge family needs scipy.optimize, and it
+    # is slow to import
+    from scipy.optimize import minimize_scalar
+
     spec = PenaltySpec("power", rho, lam)
 
     def f(b):
@@ -163,26 +166,3 @@ def threshold_update(spec, z, quad_weight):
     if spec.family == "elastic_net":
         return _soft(w * z, rho * (2.0 - lam)) / (w + rho * (lam - 1.0))
     return _scad_threshold(rho, lam, z, w)
-
-
-def penalized_block_update(dataset, alpha, gamma, coeff, d, spec, family):
-    """One penalized factor-block update of the alternating fit.
-
-    Maximizes the penalized log-likelihood over factor ``d`` with the
-    intercept, the covariate coefficients and the other factor blocks
-    held fixed; the intercept/covariate part enters through the offset
-    and is never penalized.  Returns the updated ``p_d x R`` factor.
-    """
-    from .glm import penalized_fit
-    from .model import build_block_design
-
-    design = build_block_design(dataset, coeff, d)
-    offset = np.full(dataset.n, alpha)
-    if dataset.p0:
-        offset = offset + dataset.z @ gamma
-    warm = coeff.factors[d - 1].ravel(order="F")
-    fit = penalized_fit(
-        design, dataset.y, family, offset=offset, penalty=spec, warm_start=warm
-    )
-    p_d = dataset.dims[d - 1]
-    return fit.coefficients.reshape((p_d, coeff.rank), order="F")

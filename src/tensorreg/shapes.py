@@ -10,14 +10,13 @@ geometry is fixed here, parameterized only by the image side length.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, TensorRegError
 from .glm import GlmFamily, get_family
 from .model import (
-    FitConfig,
     TensorGlmDataset,
     _run_indexed,
     fit,
@@ -282,14 +281,7 @@ def run_consistency_study(shape, n_grid, replicates, family, config, *,
                     seed=data_seq,
                 )
                 dataset = simulate(sim)
-                cfg = FitConfig(
-                    rank=config.rank,
-                    epsilon=config.epsilon,
-                    max_outer_iters=config.max_outer_iters,
-                    restarts=config.restarts,
-                    seed=int(fit_seq.generate_state(1)[0]),
-                    penalty=config.penalty,
-                )
+                cfg = replace(config, seed=int(fit_seq.generate_state(1)[0]))
                 try:
                     if max_rank is None:
                         model = fit(dataset, family, cfg)

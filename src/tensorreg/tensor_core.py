@@ -155,12 +155,41 @@ class CpTensor:
     def ndim(self):
         return len(self.dims)
 
-    def with_factors(self, factors):
-        """A new CpTensor with the given factors (dims may differ)."""
-        return CpTensor(factors)
-
     def __repr__(self):
         return f"CpTensor(dims={self.dims}, rank={self.rank})"
+
+
+def stack_vec(tensors):
+    """Rows ``vec(x_i)`` of a stack of equal-dims tensors.
+
+    ``tensors`` is a list of DenseTensor or an array of shape
+    ``(n, p_1, ..., p_D)``.  Returns ``(dims, rows)`` with ``rows`` of
+    shape ``(n, prod(dims))``; an array that views vec-order rows, as
+    :func:`unstack_vec` returns, is not copied.
+    """
+    if isinstance(tensors, (list, tuple)):
+        if not tensors:
+            raise DomainError("empty tensor stack")
+        dims = tensors[0].dims
+        for t in tensors:
+            if t.dims != dims:
+                raise DomainError(f"tensor dims differ: {t.dims} vs {dims}")
+        return dims, np.stack([t.data for t in tensors])
+    arr = np.asarray(tensors, dtype=np.float64)
+    if arr.ndim < 2 or 0 in arr.shape:
+        raise DomainError(
+            f"a tensor stack needs a positive shape (n, p_1, ..., p_D), got {arr.shape}"
+        )
+    # with the mode axes reversed, C order is vec order
+    rows = arr.transpose([0] + list(range(arr.ndim - 1, 0, -1)))
+    return tuple(arr.shape[1:]), rows.reshape(arr.shape[0], -1)
+
+
+def unstack_vec(rows, dims):
+    """View ``(n, prod(dims))`` vec-order rows as an ``(n, p_1, ..., p_D)`` array."""
+    D = len(dims)
+    stacked = rows.reshape((rows.shape[0],) + tuple(dims)[::-1])
+    return stacked.transpose([0] + list(range(D, 0, -1)))
 
 
 def vec_index(dims, multi_index):

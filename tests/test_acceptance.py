@@ -142,7 +142,7 @@ def test_criterion_02_derivative_oracles():
             model = make_model(coeff, family=fam, gamma=0.3 * rng.standard_normal(p0), n=30)
             ds = random_dataset(rng, 30, dims, p0=p0)
             y = fam.sample(0.3 * model.linear_predictor(ds), rng)
-            ds = TensorGlmDataset(y, ds._stack, ds.z if p0 else None)
+            ds = TensorGlmDataset(y, ds.x, ds.z if p0 else None)
             rep = score_and_information(model, ds)
             theta0 = pack_free_vector(model)
             s_fd = fd_gradient(lambda th: loglik_at_free_vector(model, ds, th), theta0)
@@ -275,7 +275,7 @@ def test_criterion_07_neg_hessian_equals_information_at_zero_residuals():
         )
         ds = random_dataset(rng, 40, dims, p0=p0)
         ds = TensorGlmDataset(
-            model.linear_predictor(ds), ds._stack, ds.z if p0 else None
+            model.linear_predictor(ds), ds.x, ds.z if p0 else None
         )
         rep = score_and_information(model, ds)
         H = log_density_hessian(model, ds)

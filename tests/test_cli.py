@@ -30,8 +30,8 @@ class TestTensorFile:
         back = parse_tensor_file(path)
         assert len(back) == 5
         for a, b in zip(stack, back):
-            assert a.dims == b.dims
-            np.testing.assert_array_equal(a.data, b.data)
+            assert a.dims == b.shape
+            np.testing.assert_array_equal(a.to_array(), b)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.tnsr"
@@ -186,14 +186,13 @@ class TestCliFit:
 class TestCliSimulate:
     def test_outputs_exist_and_parse(self, sim_dir):
         xs = parse_tensor_file(sim_dir / "x.tnsr")
-        assert len(xs) == 150
-        assert xs[0].dims == (16, 16)
+        assert xs.shape == (150, 16, 16)
         y = read_response_csv(sim_dir / "response.csv")
         assert y.size == 150
         names, z = read_covariates_csv(sim_dir / "covariates.csv")
         assert z.shape == (150, 2)
         sig = parse_tensor_file(sim_dir / "signal.tnsr")
-        assert len(sig) == 1 and sig[0].dims == (16, 16)
+        assert sig.shape == (1, 16, 16)
 
     def test_deterministic_bytes(self, sim_dir, tmp_path):
         out2 = tmp_path / "again"

@@ -169,15 +169,42 @@ class TestDatasetLayouts:
         for i, t in enumerate(ds.x):
             np.testing.assert_array_equal(xm[i], t.data)
 
-    def test_mode_stack_matches_matricization(self):
-        from tensorreg.tensor_core import mode_d_matricize
+    def test_parsed_even_d_file_is_held_without_copy(self, tmp_path):
+        from tensorreg.io import parse_tensor_file, write_tensor_file
 
         rng = np.random.default_rng(5)
-        ds = random_dataset(rng, 4, (2, 3, 4))
-        for d in (1, 2, 3):
-            st = ds.mode_stack(d)
-            for i, t in enumerate(ds.x):
-                np.testing.assert_array_equal(st[i], mode_d_matricize(t, d))
+        path = tmp_path / "x.tnsr"  # D = 2: the payload starts at byte 20
+        write_tensor_file(path, rng.standard_normal((6, 3, 4)))
+        parsed = parse_tensor_file(path)
+        xm = TensorGlmDataset(np.zeros(6), parsed).x_matrix()
+        assert xm.flags.aligned and xm.flags.c_contiguous
+        assert xm.ctypes.data % 8 == 0
+        assert np.shares_memory(xm, parsed)
+        for i in range(6):
+            np.testing.assert_array_equal(xm[i], parsed[i].ravel(order="F"))
+
+    def test_block_design_allocates_less_than_a_quarter_of_the_payload(
+        self, tmp_path
+    ):
+        import tracemalloc
+
+        from tensorreg.io import parse_tensor_file, write_tensor_file
+
+        rng = np.random.default_rng(7)
+        dims = (32, 24)
+        path = tmp_path / "x.tnsr"
+        write_tensor_file(path, rng.standard_normal((400,) + dims))
+        ds = TensorGlmDataset(np.zeros(400), parse_tensor_file(path))
+        coeff = random_cp(rng, dims, 2)
+        payload = ds.x_matrix().nbytes
+        for d in (1, 2):
+            tracemalloc.start()
+            try:
+                build_block_design(ds, coeff, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < payload / 4, (d, peak, payload)
 
     def test_accepts_list_of_tensors(self):
         rng = np.random.default_rng(6)
@@ -564,7 +591,7 @@ class TestInference:
         ds = random_dataset(rng, 60, dims, p0=2)
         fam = get_family(family)
         eta = model.linear_predictor(ds)
-        ds = TensorGlmDataset(fam.sample(0.3 * eta, rng), ds._stack, ds.z)
+        ds = TensorGlmDataset(fam.sample(0.3 * eta, rng), ds.x, ds.z)
         rep = score_and_information(model, ds)
         theta0 = pack_free_vector(model)
         want = fd_gradient(lambda th: loglik_at_free_vector(model, ds, th), theta0)
@@ -580,7 +607,7 @@ class TestInference:
         ds = random_dataset(rng, 50, (3, 2, 2), p0=1)
         fam = get_family(family)
         ds = TensorGlmDataset(
-            fam.sample(0.3 * model.linear_predictor(ds), rng), ds._stack, ds.z
+            fam.sample(0.3 * model.linear_predictor(ds), rng), ds.x, ds.z
         )
         H = log_density_hessian(model, ds)
         theta0 = pack_free_vector(model)
@@ -592,7 +619,7 @@ class TestInference:
         rng = np.random.default_rng(30)
         model = self._normalized_model(rng, (3, 3), 1, gamma=(0.4, 1.0), n=40)
         ds = random_dataset(rng, 40, (3, 3), p0=2)
-        ds = TensorGlmDataset(model.linear_predictor(ds), ds._stack, ds.z)
+        ds = TensorGlmDataset(model.linear_predictor(ds), ds.x, ds.z)
         rep = score_and_information(model, ds)
         H = log_density_hessian(model, ds)
         scale = np.abs(rep.information).max()
@@ -723,34 +750,39 @@ class TestModelDocument:
 
 class TestPenalizedBlockUpdate:
     def test_rho_zero_matches_unpenalized_update(self):
-        from tensorreg.glm import irls_fit
-        from tensorreg.penalties import PenaltySpec, penalized_block_update
+        from tensorreg.glm import irls_fit, penalized_fit
+        from tensorreg.penalties import PenaltySpec
 
         rng = np.random.default_rng(40)
         truth = random_cp(rng, (4, 3), 2)
         ds = simulate_normal(rng, 300, truth, gamma=[1.0])
         coeff = random_cp(rng, (4, 3), 2)
         alpha, gamma = 0.2, np.array([0.9])
-        updated = penalized_block_update(
-            ds, alpha, gamma, coeff, 1, PenaltySpec("lasso", 0.0), "normal"
-        )
         design = build_block_design(ds, coeff, 1)
         offset = alpha + ds.z @ gamma
+        updated = penalized_fit(
+            design, ds.y, "normal", offset=offset,
+            penalty=PenaltySpec("lasso", 0.0),
+            warm_start=coeff.factors[0].ravel(order="F"),
+        ).coefficients.reshape((4, 2), order="F")
         plain = irls_fit(design, ds.y, "normal", offset=offset)
         np.testing.assert_allclose(
             updated.ravel(order="F"), plain.coefficients, atol=1e-8
         )
 
     def test_huge_rho_returns_zero_factor(self):
-        from tensorreg.penalties import PenaltySpec, penalized_block_update
+        from tensorreg.glm import penalized_fit
+        from tensorreg.penalties import PenaltySpec
 
         rng = np.random.default_rng(41)
         truth = random_cp(rng, (4, 3), 1)
         ds = simulate_normal(rng, 200, truth)
         coeff = random_cp(rng, (4, 3), 1)
-        updated = penalized_block_update(
-            ds, 0.0, np.zeros(0), coeff, 2, PenaltySpec("lasso", 1e9), "normal"
-        )
+        updated = penalized_fit(
+            build_block_design(ds, coeff, 2), ds.y, "normal",
+            offset=np.zeros(ds.n), penalty=PenaltySpec("lasso", 1e9),
+            warm_start=coeff.factors[1].ravel(order="F"),
+        ).coefficients.reshape((3, 1), order="F")
         assert updated.shape == (3, 1)
         assert not updated.any()
 
@@ -774,3 +806,27 @@ class TestWorkerParallelism:
         assert max_workers() == 3
         par = run_consistency_study(ShapeSpec("square", 16), **kwargs)
         assert seq.rows == par.rows
+        monkeypatch.setenv("TENSORREG_THREADS", "two")
+        with pytest.warns(RuntimeWarning, match="'two'"):
+            assert max_workers() == 1
+
+    def test_nested_pools_stay_within_thread_cap(self, monkeypatch):
+        import threading
+
+        from tensorreg import model as model_module
+
+        inner = model_module._fit_once
+        peak = [0]
+
+        def counting_fit_once(*args, **kwargs):
+            peak[0] = max(peak[0], threading.active_count())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_fit_once", counting_fit_once)
+        monkeypatch.setenv("TENSORREG_THREADS", "2")
+        rng = np.random.default_rng(42)
+        ds = simulate_normal(rng, 120, random_cp(rng, (4, 3), 1))
+        before = threading.active_count()
+        select_rank(ds, "normal", 3, FitConfig(restarts=2, seed=5))
+        # the calling thread plus at most TENSORREG_THREADS workers
+        assert peak[0] <= before + 2
