@@ -30,7 +30,7 @@ from .model import (
 )
 from .penalties import PenaltySpec
 from .shapes import SHAPE_NAMES, ShapeSpec, SimSpec, generate_shape, run_consistency_study, simulate
-from .tensor_core import cp_to_full
+from .tensor_core import cp_to_full, unstack_vec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -199,7 +199,10 @@ def cmd_simulate(args):
     )
     dataset = simulate(spec)
     os.makedirs(args.output_dir, exist_ok=True)
-    tio.write_tensor_file(os.path.join(args.output_dir, "x.tnsr"), dataset.x)
+    tio.write_tensor_file(
+        os.path.join(args.output_dir, "x.tnsr"),
+        unstack_vec(dataset.x_matrix(), dataset.dims),
+    )
     tio.write_response_csv(os.path.join(args.output_dir, "response.csv"), dataset.y)
     if args.gamma_dim:
         tio.write_covariates_csv(

@@ -293,8 +293,12 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             beta_new = 0.5 * (beta_new + beta)
-        beta, eta = beta_new, X @ beta_new + offset
-        ll_prev, ll = ll, log_likelihood(family, y, eta, 1.0)
+        else:
+            # every halving failed: the last one was never evaluated
+            eta_new = X @ beta_new + offset
+            ll_new = log_likelihood(family, y, eta_new, 1.0)
+        beta, eta = beta_new, eta_new
+        ll_prev, ll = ll, ll_new
         trace.append(ll)
         if abs(ll - ll_prev) <= tol * (1.0 + abs(ll)):
             return GlmFit(
@@ -329,28 +333,79 @@ def _penalized_objective(family, y, X, offset, beta, penalized, spec):
 
 
 def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
-    """Cyclic coordinate descent on (1/2) b'Gb - c'b + sum P(|b_j|)."""
-    beta = beta.copy()
+    """Cyclic coordinate descent on (1/2) b'Gb - c'b + sum P(|b_j|).
+
+    The sweeps run on Python floats and read rows of the symmetric ``G``.
+    For a penalty with a quadratic piece (lasso, ridge, elastic net), a
+    sweep that leaves the support and the signs unchanged is followed by
+    an exact solve on that active set (Friedman, Hastie & Tibshirani,
+    JSS 2010), returned only if it is a fixed point of the sweep to within
+    ``tol``, the step bound plain coordinate descent stops at.
+    """
+    coords = list(zip(range(beta.size), G, G.diagonal().tolist(), cvec.tolist(),
+                      penalized.tolist()))
+    rule = spec.threshold_rule()
+    finish = spec.quadratic_piece is not None
     q = G @ beta
-    diag = np.diag(G)
-    p = beta.size
+    b = beta.tolist()
+    signs = np.sign(beta)
+    tried = None
     for _ in range(max_sweeps):
         delta = 0.0
-        for j in range(p):
-            gjj = diag[j]
+        for j, row, gjj, cj, pj in coords:
+            bj = b[j]
             if gjj <= 0.0:
                 new = 0.0
             else:
-                zj = (cvec[j] - q[j] + gjj * beta[j]) / gjj
-                new = threshold_update(spec, zj, gjj) if penalized[j] else zj
-            step = new - beta[j]
+                zj = (cj - q.item(j) + gjj * bj) / gjj
+                new = rule(zj, gjj) if pj else zj
+            step = new - bj
             if step != 0.0:
-                q += G[:, j] * step
-                beta[j] = new
-                delta = max(delta, abs(step))
+                q += row * step
+                b[j] = new
+                if abs(step) > delta:
+                    delta = abs(step)
         if delta <= tol:
             break
-    return beta
+        if finish:
+            before, signs = signs, np.sign(b)
+            # the candidate depends on the sign pattern only: try each once
+            if np.array_equal(signs, before) and not np.array_equal(signs, tried):
+                tried = signs
+                cand = _exact_finish(G, cvec, signs, penalized, spec, tol)
+                if cand is not None:
+                    return cand
+    return np.array(b)
+
+
+def _exact_finish(G, cvec, signs, penalized, spec, tol):
+    """Minimizer on the active set of ``signs``, if no sweep would move it.
+
+    Solves ``(G_AA + a2 I) b_A = c_A - a1 s_A`` (the penalty terms on the
+    penalized coordinates only), then applies one vectorised pass of
+    :func:`threshold_update` to every coordinate at once.  The solve is
+    numpy's LU: scipy's Cholesky runs on the second BLAS library that
+    scipy bundles, which raised the peak resident memory of a lasso fit
+    by about 2 MB.
+    """
+    a1, a2 = spec.quadratic_piece
+    diag = G.diagonal()
+    live = diag > 0.0
+    act = ((signs != 0.0) | ~penalized) & live
+    shrink = penalized[act]
+    M = G[act][:, act]
+    M[np.diag_indices_from(M)] += a2 * shrink
+    rhs = cvec[act] - a1 * (signs[act] * shrink)
+    cand = np.zeros_like(cvec)
+    try:
+        cand[act] = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:  # singular G_AA: keep sweeping
+        return None
+    w = np.where(live, diag, 1.0)
+    z = cand + (cvec - G @ cand) / w
+    moved = np.where(penalized, threshold_update(spec, z, w), z)
+    moved[~live] = 0.0
+    return cand if np.max(np.abs(moved - cand)) <= tol else None
 
 
 def _penalized_path(family, y, X, offset, spec, penalized, beta0, tol, max_iter,

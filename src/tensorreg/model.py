@@ -674,13 +674,18 @@ def score_and_information(model, dataset):
     score = G.T @ ((dataset.y - mu) * mud / sigma2)
     info = (G * (mud**2 / sigma2)[:, None]).T @ G
     dim = info.shape[0]
-    rank = np.linalg.matrix_rank(info)
-    if rank < dim:
-        raise InferenceError(
-            f"Fisher information is singular (rank {rank} of {dim}); the "
-            "parameter point is not locally identifiable up to permutation"
-        )
-    cov = np.linalg.inv(info)
+    if not np.all(np.isfinite(info)):
+        raise InferenceError("Fisher information has nonfinite entries")
+    try:
+        rank = np.linalg.matrix_rank(info)
+        if rank < dim:
+            raise InferenceError(
+                f"Fisher information is singular (rank {rank} of {dim}); the "
+                "parameter point is not locally identifiable up to permutation"
+            )
+        cov = np.linalg.solve(info, np.eye(dim))
+    except np.linalg.LinAlgError as err:
+        raise InferenceError(f"Fisher information: {err}") from None
     std = np.sqrt(np.maximum(np.diag(cov), 0.0))
     index_map, _ = free_parameter_index(model.dims, model.rank)
     nfree = len(index_map)

@@ -67,10 +67,61 @@ class PenaltySpec:
         object.__setattr__(self, "lam", lam)
 
     @property
+    def quadratic_piece(self):
+        """``(a1, a2)`` with ``P(t) = a1*t + a2*t**2/2`` for all t > 0, or None.
+
+        Lasso, ridge and elastic net are one quadratic on t > 0; SCAD and
+        the other power exponents are not.
+        """
+        rho, lam = self.rho, self.lam
+        if self.family == "elastic_net":
+            return rho * (2.0 - lam), rho * (lam - 1.0)
+        if self.family == "power" and lam == 1.0:
+            return rho, 0.0
+        if self.family == "power" and lam == 2.0:
+            return 0.0, 2.0 * rho
+        return None
+
+    @property
     def is_convex(self):
         return self.family == "elastic_net" or (
             self.family == "power" and self.lam >= 1.0
         )
+
+    def threshold_rule(self):
+        """The threshold of this penalty as ``rule(z, w)`` on Python floats.
+
+        Unchecked (``w`` must be positive) and odd in ``z``: the scalar
+        kernel behind :func:`threshold_update`, chosen once per penalty so
+        that an inner loop pays one plain call per coordinate.
+        """
+        rho, lam = self.rho, self.lam
+        if rho == 0.0:
+            return _identity
+        piece = self.quadratic_piece
+        if piece is not None:
+            a1, a2 = piece
+
+            def rule(z, w):
+                # argmin of (w/2)(b-z)^2 + a1|b| + a2 b^2/2; NaN falls through
+                wz = w * z
+                if wz > a1:
+                    return (wz - a1) / (w + a2)
+                if wz >= -a1:
+                    return 0.0
+                return (wz + a1) / (w + a2)
+
+            return rule
+        half = _scad_threshold if self.family == "scad" else _power_threshold
+
+        def rule(z, w):
+            if z > 0.0:
+                return half(rho, lam, z, w)
+            if z < 0.0:
+                return -half(rho, lam, -z, w)
+            return z
+
+        return rule
 
     def to_dict(self):
         return {"family": self.family, "rho": self.rho, "lam": self.lam}
@@ -98,8 +149,8 @@ def penalty_value(spec, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _soft(z, t):
-    return np.sign(z) * max(abs(z) - t, 0.0)
+def _identity(z, w):
+    return z
 
 
 def _scad_threshold(rho, lam, z, w):
@@ -116,10 +167,16 @@ def _scad_threshold(rho, lam, z, w):
             cands.append(b2)
     if z >= lam * rho:
         cands.append(z)
-    spec = PenaltySpec("scad", rho, lam)
 
     def f(b):
-        return 0.5 * w * (b - z) ** 2 + penalty_value(spec, b)
+        # the three pieces of penalty_value for b >= 0
+        if b <= rho:
+            pen = rho * b
+        elif b <= lam * rho:
+            pen = (2.0 * lam * rho * b - b**2 - rho**2) / (2.0 * (lam - 1.0))
+        else:
+            pen = (lam + 1.0) * rho**2 / 2.0
+        return 0.5 * w * (b - z) ** 2 + pen
 
     return min(cands, key=f)
 
@@ -129,40 +186,35 @@ def _power_threshold(rho, lam, z, w):
     # is slow to import
     from scipy.optimize import minimize_scalar
 
-    spec = PenaltySpec("power", rho, lam)
-
     def f(b):
-        return 0.5 * w * (b - z) ** 2 + penalty_value(spec, b)
+        return 0.5 * w * (b - z) ** 2 + rho * abs(b) ** lam
 
     # Interior minimizer lies in (0, z]; compare against the boundary b = 0,
     # which is always a local minimum when lam < 1.
     res = minimize_scalar(f, bounds=(0.0, z), method="bounded", options={"xatol": 1e-14})
-    best = res.x if res.fun <= f(0.0) else 0.0
+    best = float(res.x) if res.fun <= f(0.0) else 0.0
     return best if f(best) <= f(z) else z
 
 
 def threshold_update(spec, z, quad_weight):
     """Minimize ``(quad_weight/2) * (beta - z)**2 + P(|beta|; rho, lam)``.
 
-    Closed forms for lasso, ridge, elastic net, and SCAD; safeguarded
+    Elementwise over broadcast arrays; a float for scalar input.  Closed
+    forms for lasso, ridge, elastic net, and SCAD; safeguarded
     one-dimensional minimization for the remaining power exponents.  Odd
     in ``z`` for every family.
     """
-    if quad_weight <= 0.0:
+    w = np.asarray(quad_weight, dtype=np.float64)
+    if np.any(w <= 0.0):
         raise DomainError(f"quad_weight must be positive, got {quad_weight}")
-    z = float(z)
-    w = float(quad_weight)
-    rho, lam = spec.rho, spec.lam
-    if rho == 0.0 or z == 0.0:
-        return z
-    if z < 0.0:
-        return -threshold_update(spec, -z, w)
-    if spec.family == "power":
-        if lam == 1.0:
-            return _soft(z, rho / w)
-        if lam == 2.0:
-            return w * z / (w + 2.0 * rho)
-        return _power_threshold(rho, lam, z, w)
-    if spec.family == "elastic_net":
-        return _soft(w * z, rho * (2.0 - lam)) / (w + rho * (lam - 1.0))
-    return _scad_threshold(rho, lam, z, w)
+    z = np.asarray(z, dtype=np.float64)
+    rule = spec.threshold_rule()
+    if z.ndim == 0 and w.ndim == 0:
+        return rule(float(z), float(w))
+    piece = spec.quadratic_piece
+    if spec.rho == 0.0 or piece is None:
+        return np.vectorize(rule, otypes=[np.float64])(z, w)
+    # the closed form of threshold_rule, with the same rounding
+    a1, a2 = piece
+    wz = w * z
+    return np.sign(wz) * np.maximum(np.abs(wz) - a1, 0.0) / (w + a2)

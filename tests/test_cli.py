@@ -204,6 +204,34 @@ class TestCliSimulate:
         for name in ("x.tnsr", "response.csv", "covariates.csv", "signal.tnsr"):
             assert (out2 / name).read_bytes() == (sim_dir / name).read_bytes()
 
+    def test_write_path_allocates_less_than_the_payload(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        import tensorreg.cli as cli
+
+        args = ["simulate", "--shape", "square", "--size", 32, "--family", "normal",
+                "--n", 600, "--gamma-dim", 2, "--seed", 3, "--output-dir"]
+        real_simulate, drawn = cli.simulate, []
+
+        def simulate_once(spec):
+            if not drawn:
+                drawn.append(real_simulate(spec))
+            return drawn[0]
+
+        monkeypatch.setattr(cli, "simulate", simulate_once)
+        assert run_cli(args + [tmp_path / "a"]) == 0
+        payload = drawn[0].x_matrix().nbytes
+        tracemalloc.start()
+        try:
+            assert run_cli(args + [tmp_path / "b"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload, (peak, payload)
+        assert (tmp_path / "b" / "x.tnsr").read_bytes() == (
+            tmp_path / "a" / "x.tnsr"
+        ).read_bytes()
+
 
 class TestCliBenchmark:
     def test_schema_and_determinism(self, tmp_path):

@@ -3,15 +3,18 @@ penalized coordinate descent against soft-threshold/ridge oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorreg.errors import DomainError, SingularDesignError
+import tensorreg.glm as glm
+from tensorreg.errors import DomainError, GlmDivergenceError, SingularDesignError
 from tensorreg.glm import (
     get_family,
     irls_fit,
     log_likelihood,
     penalized_fit,
 )
-from tensorreg.penalties import PenaltySpec
+from tensorreg.penalties import PenaltySpec, threshold_update
 
 
 def ols_oracle(X, y):
@@ -158,6 +161,29 @@ class TestIrlsFit:
         resid = y - X @ fit.coefficients
         assert fit.phi == pytest.approx(resid @ resid / (500 - 2), rel=1e-10)
 
+    def test_spent_halvings_return_the_eta_of_the_last_halving(self, monkeypatch):
+        # Every trial step is rejected, so the returned iterate is the one
+        # halved after the last evaluation and its eta must be recomputed.
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((40, 3))
+        y = X @ np.ones(3) + rng.standard_normal(40)
+        offset = rng.standard_normal(40)
+        real = glm.log_likelihood
+        calls = []
+
+        def worse_than_start(family, y, eta, phi=1.0):
+            calls.append(eta)
+            start = real(family, y, calls[0], phi)
+            return start if len(calls) == 1 else start - 1.0
+
+        monkeypatch.setattr(glm, "log_likelihood", worse_than_start)
+        with pytest.raises(GlmDivergenceError) as err:
+            irls_fit(X, y, "normal", offset, max_iter=1)
+        assert len(calls) == 1 + 40 + 1
+        last = err.value.last_fit
+        assert not np.array_equal(last.eta, calls[-2])
+        np.testing.assert_array_equal(last.eta, X @ last.coefficients + offset)
+
 
 class TestPenalizedFit:
     def test_rho_zero_equals_irls(self):
@@ -281,6 +307,95 @@ class TestPenalizedFit:
                 penalty=PenaltySpec("lasso", 1.0),
                 unpenalized_mask=np.zeros(3, dtype=bool),
             )
+
+
+def plain_cd(G, cvec, beta, penalized, spec, tol=1e-13, max_sweeps=20_000):
+    """Reference: cyclic coordinate descent, one threshold_update per step."""
+    beta = beta.copy()
+    q = G @ beta
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(beta.size):
+            gjj = G[j, j]
+            zj = (cvec[j] - q[j] + gjj * beta[j]) / gjj
+            new = threshold_update(spec, zj, gjj) if penalized[j] else zj
+            step = new - beta[j]
+            if step != 0.0:
+                q += G[:, j] * step
+                beta[j] = new
+                delta = max(delta, abs(step))
+        if delta <= tol:
+            break
+    return beta
+
+
+def assert_kkt(G, cvec, b, penalized, spec, atol):
+    """Stationarity of (1/2) b'Gb - c'b + sum a1|b_j| + a2 b_j^2/2."""
+    a1, a2 = spec.quadratic_piece
+    r = cvec - G @ b
+    free = ~penalized
+    on = penalized & (b != 0.0)
+    off = penalized & (b == 0.0)
+    np.testing.assert_allclose(r[free], 0.0, atol=atol)
+    np.testing.assert_allclose(r[on], (a1 + a2 * np.abs(b[on])) * np.sign(b[on]),
+                               atol=atol)
+    assert np.all(np.abs(r[off]) <= a1 + atol)
+
+
+def quadratic_problem(seed, n, p):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    return rng, X.T @ X, X.T @ (3.0 * rng.standard_normal(n))
+
+
+class TestCoordinateDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(1, 16),
+        family=st.sampled_from(["lasso", "ridge", "elastic_net"]),
+        lam=st.floats(1.0, 2.0),
+        rho_share=st.floats(0.01, 1.2),
+        warm=st.booleans(),
+    )
+    def test_exact_finish_meets_kkt_and_matches_plain_cd(
+        self, seed, p, extra_rows, family, lam, rho_share, warm
+    ):
+        rng, G, cvec = quadratic_problem(seed, 2 * p + extra_rows, p)
+        rho = rho_share * np.abs(cvec).max()
+        spec = PenaltySpec(family, rho, lam if family == "elastic_net" else None)
+        penalized = rng.random(p) < 0.8
+        beta0 = rng.standard_normal(p) if warm else np.zeros(p)
+        got = glm._cd_on_quadratic(G, cvec, beta0, penalized, spec,
+                                   tol=1e-12, max_sweeps=1000)
+        want = plain_cd(G, cvec, beta0, penalized, spec)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        scale = 1.0 + np.abs(G).max() * (1.0 + np.abs(got).max())
+        assert_kkt(G, cvec, got, penalized, spec, atol=1e-9 * scale)
+
+    def test_rejected_candidate_still_reaches_the_optimum(self, monkeypatch):
+        # On this correlated design the sweeps hold wrong sign patterns for
+        # a sweep each before the right one, and their candidates fail.
+        rng, G, cvec = quadratic_problem(3, 12, 8)
+        G += 30.0 * np.outer(np.ones(8), np.ones(8))
+        spec = PenaltySpec("lasso", 0.2 * np.abs(cvec).max())
+        penalized = np.ones(8, dtype=bool)
+        outcomes = []
+        finish = glm._exact_finish
+
+        def recording(*args):
+            cand = finish(*args)
+            outcomes.append(cand is not None)
+            return cand
+
+        monkeypatch.setattr(glm, "_exact_finish", recording)
+        got = glm._cd_on_quadratic(G, cvec, np.zeros(8), penalized, spec,
+                                   tol=1e-12, max_sweeps=1000)
+        assert outcomes[:2] == [False, False] and outcomes[-1]
+        want = plain_cd(G, cvec, np.zeros(8), penalized, spec)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        assert_kkt(G, cvec, got, penalized, spec, atol=1e-9 * np.abs(G).max())
 
 
 class TestDivergence:

@@ -10,6 +10,7 @@ import pytest
 from tensorreg.errors import (
     DegenerateNormalizationWarning,
     DomainError,
+    InferenceError,
     KRankSizeError,
 )
 from tensorreg.glm import get_family, log_likelihood
@@ -633,6 +634,15 @@ class TestInference:
         info = rep.information
         assert np.abs(info - info.T).max() <= 1e-8 * max(1.0, np.abs(info).max())
         assert np.linalg.eigvalsh(info).min() >= -1e-8
+
+    def test_nonfinite_factors_raise_inference_error(self):
+        rng = np.random.default_rng(32)
+        factors = [f.copy() for f in normalized_point(rng, (3, 4), 1).factors]
+        factors[1][2, 0] = np.nan
+        model = make_model(CpTensor(factors), n=30)
+        ds = random_dataset(rng, 30, (3, 4))
+        with pytest.raises(InferenceError, match="nonfinite"):
+            score_and_information(model, ds)
 
     def test_free_parameter_layout(self):
         index_map, keep = free_parameter_index((3, 4), 2)

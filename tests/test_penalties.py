@@ -32,6 +32,24 @@ def threshold_oracle(spec, z, w, half_width=None):
     return 0.0 if f(0.0) <= f(best) else best
 
 
+ORACLE_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        PenaltySpec("lasso", 0.7),
+        PenaltySpec("ridge", 1.3),
+        PenaltySpec("power", 0.9, 0.5),
+        PenaltySpec("power", 0.6, 1.5),
+        PenaltySpec("elastic_net", 0.8, 1.5),
+        PenaltySpec("elastic_net", 0.8, 1.0),
+        PenaltySpec("scad", 0.9, 3.7),
+        PenaltySpec("scad", 1.1, 2.5),
+    ],
+    ids=lambda s: f"{s.family}-lam{s.lam}-rho{s.rho}",
+)
+ORACLE_Z = [-4.1, -1.9, -0.3, 0.2, 0.9, 2.6, 5.5]
+ORACLE_W = [0.6, 1.0, 2.4]
+
+
 class TestPenaltySpec:
     def test_lasso_ridge_canonicalize_to_power(self):
         assert PenaltySpec("lasso", 1.0) == PenaltySpec("power", 1.0, 1.0)
@@ -70,14 +88,14 @@ class TestPenaltyValue:
         spec = PenaltySpec("scad", rho, lam)
 
         def deriv(t):
-            if t <= rho:
-                return rho
-            return rho * max(lam * rho - t, 0.0) / ((lam - 1.0) * rho)
+            return np.where(
+                t <= rho, rho, rho * np.maximum(lam * rho - t, 0.0) / ((lam - 1.0) * rho)
+            )
 
         ts = np.linspace(0.0, 2.0 * lam * rho, 4001)
         for t in ts[1:]:
             grid = np.linspace(0.0, t, 20_001)
-            integral = np.trapezoid([deriv(s) for s in grid], grid)
+            integral = np.trapezoid(deriv(grid), grid)
             assert penalty_value(spec, t) == pytest.approx(integral, abs=1e-6)
 
     def test_rho_zero_is_no_penalty(self):
@@ -109,26 +127,24 @@ class TestThresholdUpdate:
         assert threshold_update(spec, 10.0, 1.0) == 10.0
         assert threshold_update(spec, -25.0, 2.0) == -25.0
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            PenaltySpec("lasso", 0.7),
-            PenaltySpec("ridge", 1.3),
-            PenaltySpec("power", 0.9, 0.5),
-            PenaltySpec("power", 0.6, 1.5),
-            PenaltySpec("elastic_net", 0.8, 1.5),
-            PenaltySpec("elastic_net", 0.8, 1.0),
-            PenaltySpec("scad", 0.9, 3.7),
-            PenaltySpec("scad", 1.1, 2.5),
-        ],
-        ids=lambda s: f"{s.family}-lam{s.lam}-rho{s.rho}",
-    )
-    @pytest.mark.parametrize("z", [-4.1, -1.9, -0.3, 0.2, 0.9, 2.6, 5.5])
-    @pytest.mark.parametrize("w", [0.6, 1.0, 2.4])
+    @ORACLE_SPECS
+    @pytest.mark.parametrize("z", ORACLE_Z)
+    @pytest.mark.parametrize("w", ORACLE_W)
     def test_matches_grid_oracle(self, spec, z, w):
         got = threshold_update(spec, z, w)
         want = threshold_oracle(spec, z, w)
         assert got == pytest.approx(want, abs=2e-4)
+
+    @ORACLE_SPECS
+    def test_array_input_matches_scalar_elementwise(self, spec):
+        z = np.array(ORACLE_Z + [0.0])[:, None]
+        w = np.array(ORACLE_W)[None, :]
+        got = threshold_update(spec, z, w)
+        assert got.shape == (len(ORACLE_Z) + 1, len(ORACLE_W))
+        for (i, j), value in np.ndenumerate(got):
+            scalar = threshold_update(spec, z[i, 0], w[0, j])
+            assert type(scalar) is float
+            assert value == scalar, (z[i, 0], w[0, j])
 
     @pytest.mark.parametrize(
         "spec",
@@ -149,3 +165,24 @@ class TestThresholdUpdate:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DomainError):
             threshold_update(PenaltySpec("lasso", 1.0), 1.0, 0.0)
+        with pytest.raises(DomainError):
+            threshold_update(PenaltySpec("lasso", 1.0), [1.0, 2.0], [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "spec,piece",
+        [
+            (PenaltySpec("lasso", 0.7), (0.7, 0.0)),
+            (PenaltySpec("ridge", 1.3), (0.0, 2.6)),
+            (PenaltySpec("elastic_net", 0.8, 1.5), (0.4, 0.4)),
+            (PenaltySpec("power", 0.9, 0.5), None),
+            (PenaltySpec("power", 0.6, 1.5), None),
+            (PenaltySpec("scad", 0.9, 3.7), None),
+        ],
+        ids=["lasso", "ridge", "elastic_net", "bridge", "power-lam1.5", "scad"],
+    )
+    def test_quadratic_piece(self, spec, piece):
+        assert spec.quadratic_piece == piece
+        if piece is not None:
+            a1, a2 = piece
+            for t in (0.3, 1.0, 4.2):
+                assert penalty_value(spec, t) == pytest.approx(a1 * t + a2 * t**2 / 2)
