@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _MIN_WEIGHT = 1e-10
+# Cholesky pivots below this share of the largest one send a weighted least
+# squares step to the SVD solve, which determines the numerical rank.
+_PIVOT_RATIO = 1e-6
 
 
 class GlmFamily:
@@ -40,6 +43,10 @@ class GlmFamily:
 
     name = "?"
     dispersion_fixed = True
+    # True when the log-likelihood is quadratic in eta: the IRLS working
+    # model is then exact, and one undamped step reaches the maximum.
+    quadratic_loglik = False
+    support = "the real line"
 
     def theta(self, eta):
         return eta
@@ -81,6 +88,10 @@ class GlmFamily:
         """Draw responses with linear predictor ``eta`` (unit dispersion)."""
         raise NotImplementedError
 
+    def in_support(self, y):
+        """Elementwise: is the finite response ``y`` a value of this family?"""
+        return np.ones(np.shape(y), dtype=bool)
+
     def __repr__(self):
         return f"<GlmFamily {self.name}>"
 
@@ -88,6 +99,7 @@ class GlmFamily:
 class NormalFamily(GlmFamily):
     name = "normal"
     dispersion_fixed = False
+    quadratic_loglik = True
 
     def a_phi(self, phi):
         return float(phi)
@@ -117,6 +129,7 @@ class NormalFamily(GlmFamily):
 
 class BernoulliFamily(GlmFamily):
     name = "bernoulli"
+    support = "{0, 1}"
 
     def b(self, theta):
         return np.logaddexp(0.0, theta)
@@ -140,9 +153,14 @@ class BernoulliFamily(GlmFamily):
     def sample(self, eta, rng):
         return (rng.random(np.shape(eta)) < expit(eta)).astype(np.float64)
 
+    def in_support(self, y):
+        y = np.asarray(y)
+        return (y == 0.0) | (y == 1.0)
+
 
 class PoissonFamily(GlmFamily):
     name = "poisson"
+    support = "y >= 0"
 
     def b(self, theta):
         return np.exp(theta)
@@ -166,6 +184,9 @@ class PoissonFamily(GlmFamily):
 
     def sample(self, eta, rng):
         return rng.poisson(np.exp(eta)).astype(np.float64)
+
+    def in_support(self, y):
+        return np.asarray(y) >= 0.0
 
 
 _FAMILIES = {f.name: f for f in (NormalFamily(), BernoulliFamily(), PoissonFamily())}
@@ -239,14 +260,44 @@ def _pearson_phi(family, y, eta, ncols):
     return float(np.sum((y - mu) ** 2 / family.variance(mu)) / dof)
 
 
+def _weighted_gram(X, w, z):
+    """``X'WX`` and ``X'Wz`` for the diagonal weights ``W = diag(w)``."""
+    Xw = X * w[:, None]
+    return X.T @ Xw, Xw.T @ z
+
+
+def _cholesky_solve(G, c):
+    """Solve ``G b = c`` by Cholesky, or None if ``G`` is badly conditioned.
+
+    Returns None when the factorization fails or its smallest pivot (a
+    diagonal entry of the factor) is below ``_PIVOT_RATIO`` times the
+    largest, so that the caller can take the rank-revealing SVD path.  The
+    factor and the two triangular solves use numpy's LAPACK: scipy's runs on
+    the second BLAS library that scipy bundles, which costs resident memory
+    on first use.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = L.diagonal()
+    if not pivots.min() >= _PIVOT_RATIO * pivots.max():  # also catches NaN
+        return None
+    return np.linalg.solve(L.T, np.linalg.solve(L, c))
+
+
 def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=100):
     """Maximum-likelihood GLM fit by iteratively reweighted least squares.
 
-    The offset is added to the linear predictor and not estimated.  For
-    the normal family this is weighted least squares and converges in one
-    step.  Step-halving keeps the log-likelihood nondecreasing across
-    iterations for the canonical links used here; with a warm ``start``
-    the result is therefore never worse than the starting point.
+    The offset is added to the linear predictor and not estimated.  Each
+    step solves the weighted normal equations ``X'WX b = X'Wz`` by
+    Cholesky; when the factorization fails or is badly conditioned, the
+    step is a rank-revealing SVD least-squares solve instead.  For a
+    family whose log-likelihood is quadratic in the linear predictor (the
+    normal family) the first undamped step is the maximum, and the fit
+    stops there.  Step-halving keeps the log-likelihood nondecreasing
+    across iterations for the canonical links used here; with a warm
+    ``start`` the result is therefore never worse than the starting point.
 
     Raises
     ------
@@ -275,19 +326,18 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     eta = X @ beta + offset
     ll = log_likelihood(family, y, eta, 1.0)
     trace = [ll]
-    rank_checked = False
     for it in range(1, max_iter + 1):
         mu = family.mean(eta)
         w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
         z = (eta - offset) + (y - mu) / w
-        sw = np.sqrt(w)
-        beta_new, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)
-        if not rank_checked:
-            if rank < p:
+        beta_new = _cholesky_solve(*_weighted_gram(X, w, z))
+        if beta_new is None:
+            sw = np.sqrt(w)
+            beta_new, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)
+            if it == 1 and rank < p:
                 raise SingularDesignError(p, int(rank))
-            rank_checked = True
         # Step-halving: guarantee monotone ascent of the log-likelihood.
-        for _ in range(40):
+        for halvings in range(40):
             eta_new = X @ beta_new + offset
             ll_new = log_likelihood(family, y, eta_new, 1.0)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
@@ -300,7 +350,8 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
         beta, eta = beta_new, eta_new
         ll_prev, ll = ll, ll_new
         trace.append(ll)
-        if abs(ll - ll_prev) <= tol * (1.0 + abs(ll)):
+        exact = family.quadratic_loglik and halvings == 0
+        if exact or abs(ll - ll_prev) <= tol * (1.0 + abs(ll)):
             return GlmFit(
                 coefficients=beta,
                 loglik=ll,
@@ -418,9 +469,7 @@ def _penalized_path(family, y, X, offset, spec, penalized, beta0, tol, max_iter,
         mu = family.mean(eta)
         w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
         z = (eta - offset) + (y - mu) / w
-        Xw = X * w[:, None]
-        G = X.T @ Xw
-        cvec = Xw.T @ z
+        G, cvec = _weighted_gram(X, w, z)
         beta_new = _cd_on_quadratic(G, cvec, beta, penalized, spec,
                                     tol=1e-12, max_sweeps=max_sweeps)
         # The quadratic is only a local model for non-normal families;
@@ -428,7 +477,7 @@ def _penalized_path(family, y, X, offset, spec, penalized, beta0, tol, max_iter,
         obj_new, eta_new = _penalized_objective(
             family, y, X, offset, beta_new, penalized, spec
         )
-        for _ in range(40):
+        for halvings in range(40):
             if np.isfinite(obj_new) and obj_new >= obj - 1e-12 * (1.0 + abs(obj)):
                 break
             beta_new = 0.5 * (beta_new + beta)
@@ -437,7 +486,9 @@ def _penalized_path(family, y, X, offset, spec, penalized, beta0, tol, max_iter,
             )
         beta, eta = beta_new, eta_new
         trace.append(obj_new)
-        if abs(obj_new - obj) <= tol * (1.0 + abs(obj_new)):
+        # An exact quadratic was solved: a second iteration cannot move.
+        exact = family.quadratic_loglik and halvings == 0
+        if exact or abs(obj_new - obj) <= tol * (1.0 + abs(obj_new)):
             return beta, eta, obj_new, it, True, trace
         obj = obj_new
     return beta, eta, obj, max_iter, False, trace

@@ -101,13 +101,50 @@ def _run_indexed(tasks, workers):
         return [f.result() for f in futures]
 
 
+def _require_finite_tensors(vecs, dims):
+    """Raise DomainError naming the first nonfinite covariate entry.
+
+    One sum over the payload allocates nothing payload-sized; only when it
+    is not finite are the rows searched (a sum that overflows with every
+    entry finite passes the search).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(vecs.sum()):
+            return
+    for i, row in enumerate(vecs):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            at = tuple(int(k) for k in np.unravel_index(bad[0], dims, order="F"))
+            raise DomainError(
+                f"tensor covariate x[{i}] has the nonfinite entry {row[bad[0]]} "
+                f"at index {at}"
+            )
+
+
+def _require_valid_fit_data(dataset, family):
+    """Raise DomainError for a nonfinite y or z, or a y outside the family's support."""
+    for name, a in (("y", dataset.y), ("z", dataset.z)):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            at = ", ".join(str(int(k)) for k in bad[0])
+            raise DomainError(f"{name}[{at}] is {a[tuple(bad[0])]}: {name} must be finite")
+    outside = np.flatnonzero(~family.in_support(dataset.y))
+    if outside.size:
+        i = int(outside[0])
+        raise DomainError(
+            f"y[{i}] = {dataset.y[i]:g} is outside the support of the "
+            f"{family.name} family ({family.support})"
+        )
+
+
 class TensorGlmDataset:
     """Observations ``(y_i, x_i, z_i)`` with tensor covariates of shared dims.
 
     The covariates are held once, as the ``(n, prod(dims))`` array of
     :meth:`x_matrix`; an ``x`` that already views such an array in vec
     order (as :func:`tensorreg.io.parse_tensor_file` returns) is not
-    copied.
+    copied.  A nonfinite tensor entry raises DomainError; ``y`` and ``z``
+    are checked by :func:`fit`, against the family.
 
     Parameters
     ----------
@@ -136,6 +173,7 @@ class TensorGlmDataset:
         self.z = z
         self.dims = dims
         self._vecs = np.require(vecs, np.float64, ["C", "A"])
+        _require_finite_tensors(self._vecs, dims)
 
     @property
     def n(self):
@@ -384,8 +422,12 @@ def fit(dataset, family, config, init_factors=None):
 
     ``init_factors`` optionally pins the starting factors of the first
     restart (used e.g. to study sensitivity to initialization).
+
+    Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``
+    and for a ``y`` outside the family's support.
     """
     family = get_family(family)
+    _require_valid_fit_data(dataset, family)
     n, dims, R, p0 = dataset.n, dataset.dims, config.rank, dataset.p0
     unpenalized = config.penalty is None or config.penalty.rho == 0.0
     if unpenalized:
@@ -517,6 +559,9 @@ def select_rank(dataset, family, max_rank, config):
     """
     if max_rank < 1:
         raise DomainError("max_rank must be >= 1")
+    # bad input is no per-rank failure: raise it instead of tabulating it
+    family = get_family(family)
+    _require_valid_fit_data(dataset, family)
 
     def run(rank):
         cfg = replace(config, rank=rank)

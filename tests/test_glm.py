@@ -14,6 +14,7 @@ from tensorreg.glm import (
     log_likelihood,
     penalized_fit,
 )
+from tensorreg.model import FitConfig, TensorGlmDataset, fit, select_rank
 from tensorreg.penalties import PenaltySpec, threshold_update
 
 
@@ -183,6 +184,73 @@ class TestIrlsFit:
         last = err.value.last_fit
         assert not np.array_equal(last.eta, calls[-2])
         np.testing.assert_array_equal(last.eta, X @ last.coefficients + offset)
+
+
+def lstsq_step(X, w, z):
+    """Reference weighted least-squares step by the SVD solve."""
+    sw = np.sqrt(w)
+    return np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)[0]
+
+
+class TestBlockSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 12),
+        extra_rows=st.integers(1, 40),
+        name=st.sampled_from(["normal", "bernoulli", "poisson"]),
+    )
+    def test_cholesky_step_matches_lstsq(self, seed, p, extra_rows, name):
+        rng = np.random.default_rng(seed)
+        fam = get_family(name)
+        n = 2 * p + extra_rows
+        X = rng.standard_normal((n, p))
+        eta = X @ (0.3 * rng.standard_normal(p))
+        y = fam.sample(eta, rng)
+        w = np.maximum(fam.mean_deriv(eta), glm._MIN_WEIGHT)
+        z = eta + (y - fam.mean(eta)) / w
+        got = glm._cholesky_solve(*glm._weighted_gram(X, w, z))
+        want = lstsq_step(X, w, z)
+        assert got is not None
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-10 * (1.0 + np.abs(want).max()))
+
+    @pytest.mark.parametrize("name", ["normal", "bernoulli", "poisson"])
+    def test_collinear_designs_take_the_svd_path(self, name):
+        rng = np.random.default_rng(15)
+        fam = get_family(name)
+        X = rng.standard_normal((60, 2))
+        X = np.hstack([X, X[:, :1] + X[:, 1:2]])
+        y = fam.sample(0.2 * X[:, 0], rng)
+        noise = rng.standard_normal(60)
+        # Nearly collinear: with 1e-7 noise the factor exists but its
+        # pivots are too small, with 1e-9 the factorization fails.  Either
+        # way the step goes to lstsq, which finds full rank and solves it.
+        for scale in (1e-7, 1e-9):
+            near = X.copy()
+            near[:, 2] += scale * noise
+            G, c = glm._weighted_gram(near, np.ones(60), y)
+            assert glm._cholesky_solve(G, c) is None
+            if name == "normal":
+                fit = irls_fit(near, y, fam)
+                np.testing.assert_array_equal(fit.coefficients,
+                                              lstsq_step(near, np.ones(60), y))
+        # exactly collinear: the SVD rank is reported on the first iteration
+        with pytest.raises(SingularDesignError) as err:
+            irls_fit(X, y, fam)
+        assert (err.value.ncols, err.value.rank) == (3, 2)
+
+    def test_normal_fit_takes_one_exact_step(self):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((80, 4))
+        y = X @ rng.standard_normal(4) + rng.standard_normal(80)
+        fit = irls_fit(X, y, "normal", start=rng.standard_normal(4))
+        assert fit.iterations == 1 and fit.converged
+        assert len(fit.trace) == 2 and fit.trace[1] > fit.trace[0]
+        np.testing.assert_allclose(fit.coefficients, ols_oracle(X, y), rtol=1e-10)
+        pen = penalized_fit(X, y, "normal", penalty=PenaltySpec("lasso", 5.0),
+                            warm_start=fit.coefficients)
+        assert pen.iterations == 1 and pen.converged and len(pen.trace) == 2
 
 
 class TestPenalizedFit:
@@ -412,3 +480,60 @@ class TestDivergence:
         assert last.iterations == 100
         assert not last.converged
         assert np.abs(last.coefficients).max() > 10.0
+
+
+class TestInputValidation:
+    """Bad responses and covariates are rejected before any fitting."""
+
+    @staticmethod
+    def dataset(y=None, z=None, x=None):
+        rng = np.random.default_rng(17)
+        n = 200
+        x = rng.standard_normal((n, 6, 5)) if x is None else x
+        z = rng.standard_normal((n, 2)) if z is None else z
+        y = (rng.random(n) < 0.5).astype(float) if y is None else y
+        return TensorGlmDataset(y, x, z)
+
+    @pytest.mark.parametrize("name, value, message", [
+        pytest.param("bernoulli", 2.0, r"y\[3\] = 2 is outside the support of the "
+                     r"bernoulli family \(\{0, 1\}\)", id="bernoulli-2"),
+        pytest.param("bernoulli", 0.5, r"y\[3\] = 0\.5 is outside the support of the "
+                     r"bernoulli family", id="bernoulli-half"),
+        pytest.param("poisson", -1.0, r"y\[3\] = -1 is outside the support of the "
+                     r"poisson family \(y >= 0\)", id="poisson-negative"),
+        pytest.param("normal", np.nan, r"y\[3\] is nan: y must be finite", id="normal-nan"),
+        pytest.param("poisson", np.inf, r"y\[3\] is inf: y must be finite", id="poisson-inf"),
+    ])
+    def test_response_outside_the_family_is_named(self, name, value, message):
+        ds = self.dataset()
+        ds.y[3] = value
+        with pytest.raises(DomainError, match=message):
+            fit(ds, name, FitConfig(rank=1, restarts=1))
+
+    def test_nonfinite_covariate_is_named(self):
+        z = np.random.default_rng(18).standard_normal((200, 2))
+        z[5, 1] = np.nan
+        with pytest.raises(DomainError, match=r"z\[5, 1\] is nan: z must be finite"):
+            fit(self.dataset(z=z), "bernoulli", FitConfig(rank=1, restarts=1))
+
+    def test_select_rank_raises_instead_of_tabulating(self):
+        ds = self.dataset()
+        ds.y[0] = 3.0
+        with pytest.raises(DomainError, match="outside the support"):
+            select_rank(ds, "bernoulli", 2, FitConfig(restarts=1))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_tensor_entry_is_named(self, value):
+        x = np.random.default_rng(19).standard_normal((200, 6, 5))
+        x[7, 2, 3] = value
+        with pytest.raises(DomainError, match=(
+            rf"tensor covariate x\[7\] has the nonfinite entry {value} at index \(2, 3\)"
+        )):
+            self.dataset(x=x)
+
+    def test_finite_tensors_whose_sum_overflows_are_accepted(self):
+        x = np.zeros((200, 6, 5))
+        x[0, 0, 0] = x[1, 0, 0] = 1e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(x.sum())
+        assert self.dataset(x=x).n == 200
