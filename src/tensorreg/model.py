@@ -12,6 +12,7 @@ inference for the free parametrization.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -71,7 +72,8 @@ __all__ = [
 
 
 def max_workers():
-    """Worker cap for embarrassingly parallel fits (TENSORREG_THREADS)."""
+    """Worker cap (TENSORREG_THREADS) for per-start block solves and study
+    replicates."""
     value = os.environ.get("TENSORREG_THREADS", "1")
     try:
         return max(1, int(value))
@@ -87,18 +89,38 @@ def max_workers():
 _WORKER_PREFIX = "tensorreg-worker"
 
 
-def _run_indexed(tasks, workers):
-    """Run ``tasks`` (callables) and return results in task order.
+def _run_inline(tasks):
+    return [t() for t in tasks]
 
-    Called from a worker of another ``_run_indexed`` pool, the tasks run
-    inline, so nested fits never hold more than ``workers`` threads.
+
+@contextlib.contextmanager
+def _worker_pool(workers):
+    """Yield ``run(tasks)``, which calls ``tasks`` and returns their results
+    in task order, on up to ``workers`` threads that live as long as the
+    ``with`` block.
+
+    Called from a worker of another pool, the tasks run inline, so nested
+    fits never hold more than ``workers`` threads.
     """
-    nested = threading.current_thread().name.startswith(_WORKER_PREFIX)
-    if nested or workers <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
+    if workers <= 1 or threading.current_thread().name.startswith(_WORKER_PREFIX):
+        yield _run_inline
+        return
     with ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_PREFIX) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+
+        def run(tasks):
+            if len(tasks) <= 1:
+                return _run_inline(tasks)
+            futures = [pool.submit(t) for t in tasks]
+            return [f.result() for f in futures]
+
+        yield run
+
+
+def _run_indexed(tasks, workers):
+    """Run ``tasks`` (callables) on a :func:`_worker_pool`; results in task
+    order."""
+    with _worker_pool(workers) as run:
+        return run(tasks)
 
 
 def _require_finite_tensors(vecs, dims):
@@ -262,19 +284,27 @@ class TensorGlmModel:
         return self.family.mean(self.linear_predictor(dataset))
 
 
+# Entries of the middle-mode intermediate per row block: about 256 KB, the
+# fastest of 32 KB to 2 MB on 16x16x16 and 8x32x32 data at 2 to 10 columns.
+_BLOCK_ENTRIES = 2**15
+
+
 def build_block_design(dataset, coeff, d):
     """Design matrix for the mode-d factor update.
 
     Row i is ``vec(X_{i(d)} W_d)`` where ``W_d`` is the Khatri-Rao chain
     of the other factors in descending mode order, so that
-    ``row_i . vec(B_d) = <B, x_i>`` with the other blocks frozen.
+    ``row_i . vec(B_d) = <B, x_i>`` with the other blocks frozen.  The
+    columns of factor column r are ``r*p_d : (r+1)*p_d``, so the design of
+    a CpTensor whose factors stack those of several starts column-wise is
+    the designs of the starts side by side.
 
-    Computed by mode products on the vec-order rows, viewed as
+    Computed by batched matrix products on the vec-order rows, viewed as
     ``(n, H, p_d, L)`` with ``L`` the product of the dims below mode d and
-    ``H`` of those above: one GEMM with the Khatri-Rao chain of the lower
-    factors, then a reduction over ``H`` with the chain of the upper
-    factors.  For d = 1 there is no lower chain, and each sample is
-    multiplied by the upper chain directly.
+    ``H`` of those above.  Mode 1 multiplies each sample by the upper
+    chain and the last mode by the lower chain.  A middle mode contracts
+    the upper chain first, then L, in row blocks whose intermediate stays
+    within an eighth of the payload and about 256 KB.
     """
     if coeff.dims != dataset.dims:
         raise DomainError(
@@ -286,15 +316,25 @@ def build_block_design(dataset, coeff, d):
     n, R, p = dataset.n, coeff.rank, dataset.dims[d - 1]
     L = math.prod(dataset.dims[: d - 1])
     H = math.prod(dataset.dims[d:])
-    x = dataset.x_matrix().reshape(n, H, p, L)
-    upper = factor_chain_omitting(coeff.factors, range(1, d + 1))  # (H, R)
+    x = dataset.x_matrix()
     if d == 1:
-        out = upper.T @ x.reshape(n, H, p)  # (n, R, p)
+        upper = factor_chain_omitting(coeff.factors, 1)  # (H, R)
+        out = upper.T @ x.reshape(n, H, p)
+    elif d == D:
+        lower = factor_chain_omitting(coeff.factors, D)  # (L, R)
+        out = lower.T @ x.reshape(n, p, L).transpose(0, 2, 1)
     else:
+        upper_t = factor_chain_omitting(coeff.factors, range(1, d + 1)).T  # (R, H)
         lower = factor_chain_omitting(coeff.factors, range(d, D + 1))  # (L, R)
-        t = (x.reshape(-1, L) @ lower).reshape(n, H, p, R)
-        t *= upper[:, None, :]
-        out = t.sum(axis=1).transpose(0, 2, 1)
+        lower_cols = lower.T[:, :, None]  # (R, L, 1)
+        rows = max(1, min(n * H // (8 * R), _BLOCK_ENTRIES // (R * p * L)))
+        out = np.empty((n, R, p))
+        buf = np.empty((min(rows, n), R, p * L))
+        for s in range(0, n, rows):
+            m = min(rows, n - s)
+            np.matmul(upper_t, x[s : s + m].reshape(m, H, p * L), out=buf[:m])
+            np.matmul(buf[:m].reshape(m, R, p, L), lower_cols,
+                      out=out[s : s + m, :, :, None])
     return out.reshape(n, R * p)
 
 
@@ -325,150 +365,209 @@ def _penalty_total(spec, factors):
     return float(sum(np.sum(penalty_value(spec, f)) for f in factors))
 
 
-def _fit_once(dataset, family, config, rng, init_factors=None):
-    """One run of the alternating maximization from a single start."""
-    n, dims, R = dataset.n, dataset.dims, config.rank
+def _require_enough_observations(dataset, config):
+    """Raise DomainError when an unpenalized block has no more observations
+    than parameters."""
+    if config.penalty is not None and config.penalty.rho != 0.0:
+        return
+    n, R, p0 = dataset.n, config.rank, dataset.p0
+    for d, p in enumerate(dataset.dims, start=1):
+        if n <= p * R + p0 + 1:
+            raise DomainError(
+                f"n={n} too small for an unpenalized rank-{R} fit: block {d} "
+                f"needs more than {p * R + p0 + 1} observations"
+            )
+
+
+def _starts(config, init_factors=None):
+    """``(config, rng, init_factors)`` for each restart of ``config``: RNG
+    streams spawned from ``config.seed``, ``init_factors`` pinning the
+    first."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    return [
+        (config, np.random.default_rng(seed), init_factors if i == 0 else None)
+        for i, seed in enumerate(seeds)
+    ]
+
+
+class _Start:
+    """One start of the block relaxation: its iterate, outer objective
+    trace and outcome."""
+
+    def __init__(self, config, factors, ag, offset_ag):
+        self.config = config
+        self.factors = factors
+        self.ag = ag
+        self.offset_ag = offset_ag
+        self.eta_tensor = None
+        self.trace = []
+        self.converged = False
+        self.error = None
+
+    @property
+    def active(self):
+        return (
+            self.error is None
+            and not self.converged
+            and len(self.trace) <= self.config.max_outer_iters
+        )
+
+
+# The per-start block solves go to the worker threads only when a block
+# design has at least this n * (p_d * R)^2.  Smaller solves are bound by
+# interpreter work under the GIL: with one BLAS thread, two threads ran
+# normal and bernoulli solves up to 2x slower than one at n * k^2 <= 4.1e6
+# and 0.72-0.92x as long from 8.2e6 on.
+_SPREAD_SOLVE_SIZE = 2**22
+
+
+def _fit_lockstep(dataset, family, starts):
+    """Block relaxation from every start of ``starts`` at once.
+
+    ``starts`` holds ``(config, rng, init_factors)`` triples, whose ranks
+    may differ.  In each cycle and mode the factors of the starts still
+    running are stacked column-wise into one CpTensor, so one
+    :func:`build_block_design` call reads the payload for all of them;
+    each start then solves its block on its own column slice, the starts
+    spread over the ``TENSORREG_THREADS`` workers when the blocks are
+    large enough to gain from threads.  A start leaves the stack when it
+    converges, reaches its ``max_outer_iters`` or raises a
+    TensorRegError, which it keeps in ``error``.
+
+    Returns one :class:`_Start` per start, in order.
+    """
+    n, dims = dataset.n, dataset.dims
     D = len(dims)
-    y = dataset.y
+    y, x = dataset.y, dataset.x_matrix()
     zdesign = np.hstack([np.ones((n, 1)), dataset.z])
-    spec = config.penalty
-    # TENSORREG_SELFCHECK=1 cross-checks the incrementally maintained
-    # linear predictor against a fresh densify-and-contract every cycle.
+    # TENSORREG_SELFCHECK=1 cross-checks each start's incrementally
+    # maintained linear predictor against a fresh densify-and-contract
+    # every cycle.
     selfcheck = os.environ.get("TENSORREG_SELFCHECK") == "1"
 
-    # Intercept/covariate start: GLM with the tensor part zeroed out.
-    base = irls_fit(zdesign, y, family)
-    ag = base.coefficients.copy()
+    def objective(run):
+        ll = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
+        return ll - _penalty_total(run.config.penalty, run.factors)
 
-    if init_factors is not None:
-        factors = [np.array(f, dtype=np.float64) for f in init_factors]
-    else:
-        factors = []
-        for p in dims:
-            f = rng.standard_normal((p, R))
-            f /= np.maximum(np.linalg.norm(f, axis=0), 1e-12)
-            factors.append(f)
+    def solve_block(run, d, design):
+        spec = run.config.penalty
+        warm = run.factors[d - 1].ravel(order="F")
+        try:
+            if spec is not None and spec.rho > 0.0:
+                blk = penalized_fit(
+                    design, y, family, offset=run.offset_ag, penalty=spec,
+                    warm_start=warm,
+                )
+            else:
+                blk = irls_fit(design, y, family, offset=run.offset_ag, start=warm)
+        except SingularDesignError as err:
+            raise SingularDesignError(err.ncols, err.rank, block=d) from None
+        run.factors[d - 1] = blk.coefficients.reshape(
+            (dims[d - 1], run.config.rank), order="F"
+        )
+        run.eta_tensor = blk.eta - run.offset_ag
 
-    coeff = CpTensor(factors)
-    offset_ag = zdesign @ ag
-    eta_tensor = dataset.x_matrix() @ cp_to_full(coeff).data
-
-    def objective(eta_full):
-        ll = log_likelihood(family, y, eta_full, 1.0)
-        return ll, ll - _penalty_total(spec, coeff.factors)
-
-    ll, obj = objective(offset_ag + eta_tensor)
-    trace = [obj]
-    converged = False
-    iterations = 0
-    for _ in range(config.max_outer_iters):
-        iterations += 1
-        for d in range(1, D + 1):
-            design = build_block_design(dataset, coeff, d)
-            warm = coeff.factors[d - 1].ravel(order="F")
-            try:
-                if spec is not None and spec.rho > 0.0:
-                    blk = penalized_fit(
-                        design, y, family, offset=offset_ag, penalty=spec,
-                        warm_start=warm,
-                    )
-                else:
-                    blk = irls_fit(design, y, family, offset=offset_ag, start=warm)
-            except SingularDesignError as err:
-                raise SingularDesignError(err.ncols, err.rank, block=d) from None
-            newf = list(coeff.factors)
-            newf[d - 1] = blk.coefficients.reshape((dims[d - 1], R), order="F")
-            coeff = CpTensor(newf)
-            eta_tensor = blk.eta - offset_ag
+    def end_cycle(run):
         if selfcheck:
-            eta_direct = dataset.x_matrix() @ cp_to_full(coeff).data
-            ll_a = log_likelihood(family, y, offset_ag + eta_tensor, 1.0)
-            ll_b = log_likelihood(family, y, offset_ag + eta_direct, 1.0)
+            eta_direct = x @ cp_to_full(CpTensor(run.factors)).data
+            ll_a = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
+            ll_b = log_likelihood(family, y, run.offset_ag + eta_direct, 1.0)
             assert abs(ll_a - ll_b) <= 1e-9 * (1.0 + abs(ll_a)), (
                 f"linear-predictor routes disagree: {ll_a!r} vs {ll_b!r}"
             )
-        agfit = irls_fit(zdesign, y, family, offset=eta_tensor, start=ag)
-        ag = agfit.coefficients
-        offset_ag = zdesign @ ag
-        ll, obj = objective(offset_ag + eta_tensor)
-        trace.append(obj)
-        gain = trace[-1] - trace[-2]
-        threshold = (
-            config.epsilon
-            if config.epsilon is not None
-            else 1e-6 * (1.0 + abs(trace[-1]))
-        )
-        if gain < threshold:
-            converged = True
-            break
-    return {
-        "alpha": float(ag[0]),
-        "gamma": ag[1:].copy(),
-        "coeff": coeff,
-        "objective": trace[-1],
-        "loglik_unit": ll,
-        "trace": trace,
-        "converged": converged,
-        "iterations": iterations,
-    }
+        agfit = irls_fit(zdesign, y, family, offset=run.eta_tensor, start=run.ag)
+        run.ag = agfit.coefficients
+        run.offset_ag = zdesign @ run.ag
+        obj = objective(run)
+        run.trace.append(obj)
+        eps = run.config.epsilon
+        threshold = eps if eps is not None else 1e-6 * (1.0 + abs(obj))
+        run.converged = obj - run.trace[-2] < threshold
 
-
-def fit(dataset, family, config, init_factors=None):
-    """Fit a rank-R tensor GLM by block relaxation.
-
-    Runs ``config.restarts`` independent starts (per-restart RNG streams
-    spawned from ``config.seed``) and keeps the run with the best final
-    objective.  The returned coefficient is in normalized form.
-
-    ``init_factors`` optionally pins the starting factors of the first
-    restart (used e.g. to study sensitivity to initialization).
-
-    Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``
-    and for a ``y`` outside the family's support.
-    """
-    family = get_family(family)
-    _require_valid_fit_data(dataset, family)
-    n, dims, R, p0 = dataset.n, dataset.dims, config.rank, dataset.p0
-    unpenalized = config.penalty is None or config.penalty.rho == 0.0
-    if unpenalized:
-        for d, p in enumerate(dims, start=1):
-            if n <= p * R + p0 + 1:
-                raise DomainError(
-                    f"n={n} too small for an unpenalized rank-{R} fit: block {d} "
-                    f"needs more than {p * R + p0 + 1} observations"
-                )
-
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-
-    def one(idx):
-        def task():
-            rng = np.random.default_rng(seeds[idx])
-            init = init_factors if idx == 0 else None
+    def task(run, d, design):
+        def step():
             try:
-                return _fit_once(dataset, family, config, rng, init_factors=init)
+                solve_block(run, d, design)
+                if d == D:
+                    end_cycle(run)
             except TensorRegError as err:
-                return err
+                run.error = err
 
-        return task
+        return step
 
-    results = _run_indexed([one(i) for i in range(config.restarts)], max_workers())
-    successes = [r for r in results if not isinstance(r, Exception)]
+    runs = []
+    if not starts:
+        return runs
+    try:
+        # Intercept/covariate start, shared by every start: GLM with the
+        # tensor part zeroed out.
+        ag = irls_fit(zdesign, y, family).coefficients
+    except TensorRegError as err:
+        for config, _, _ in starts:
+            run = _Start(config, None, None, None)
+            run.error = err
+            runs.append(run)
+        return runs
+    offset_ag = zdesign @ ag
+    for config, rng, init in starts:
+        if init is not None:
+            factors = [np.array(f, dtype=np.float64) for f in init]
+        else:
+            factors = []
+            for p in dims:
+                f = rng.standard_normal((p, config.rank))
+                f /= np.maximum(np.linalg.norm(f, axis=0), 1e-12)
+                factors.append(f)
+        runs.append(_Start(config, factors, ag, offset_ag))
+    # one pass over the payload for every start's initial linear predictor
+    vecs = [cp_to_full(CpTensor(run.factors)).data for run in runs]
+    for run, eta in zip(runs, (x @ np.column_stack(vecs)).T):
+        run.eta_tensor = eta
+        run.trace.append(objective(run))
+
+    running = list(runs)
+    with _worker_pool(max_workers()) as run_tasks:
+        while running:
+            for d in range(1, D + 1):
+                if not running:
+                    break
+                stacked = CpTensor(
+                    [np.hstack([run.factors[k] for run in running]) for k in range(D)]
+                )
+                design = build_block_design(dataset, stacked, d)
+                tasks, end = [], 0
+                for run in running:  # each start's columns, in stacking order
+                    start, end = end, end + dims[d - 1] * run.config.rank
+                    tasks.append(task(run, d, design[:, start:end]))
+                widest = dims[d - 1] * max(run.config.rank for run in running)
+                if n * widest**2 >= _SPREAD_SOLVE_SIZE:
+                    run_tasks(tasks)
+                else:
+                    _run_inline(tasks)
+                running = [run for run in running if run.active]
+    return runs
+
+
+def _best_model(dataset, family, config, runs):
+    """The normalized model of the best of ``runs``, the starts of
+    ``config``; FitConvergenceError when every start failed."""
+    successes = [run for run in runs if run.error is None]
     if not successes:
-        longest = max(
-            (getattr(r, "last_fit", None) for r in results if r is not None),
-            key=lambda f: len(f.trace) if f is not None else -1,
-        )
+        # the most cycles, then the best objective
+        furthest = max(runs, key=lambda run: (len(run.trace), run.trace[-1:]))
         raise FitConvergenceError(
-            f"all {config.restarts} restarts failed: {results[0]}",
-            best_trace=list(longest.trace) if longest is not None else [],
+            f"all {len(runs)} restarts failed: {runs[0].error}",
+            best_trace=list(furthest.trace),
         )
-    best = max(successes, key=lambda r: r["objective"])
+    best = max(successes, key=lambda run: run.trace[-1])
+    n, dims, p0 = dataset.n, dataset.dims, dataset.p0
+    alpha, gamma = float(best.ag[0]), best.ag[1:].copy()
 
-    coeff = normalize_identifiability(best["coeff"])
-    p_e = effective_parameters(dims, R, p0)
-    eta = np.full(n, best["alpha"])
+    coeff = normalize_identifiability(CpTensor(best.factors))
+    p_e = effective_parameters(dims, config.rank, p0)
+    eta = np.full(n, alpha)
     if p0:
-        eta = eta + dataset.z @ best["gamma"]
+        eta = eta + dataset.z @ gamma
     eta = eta + dataset.x_matrix() @ cp_to_full(coeff).data
     if family.dispersion_fixed:
         phi = 1.0
@@ -479,20 +578,49 @@ def fit(dataset, family, config, init_factors=None):
     loglik = log_likelihood(family, dataset.y, eta, phi)
     bic_value = float(-2.0 * loglik + np.log(n) * p_e)
     return TensorGlmModel(
-        alpha=best["alpha"],
-        gamma=best["gamma"],
+        alpha=alpha,
+        gamma=gamma,
         coeff=coeff,
         family=family,
         phi=phi,
         loglik=loglik,
         bic=bic_value,
-        trace=best["trace"],
-        converged=best["converged"],
+        trace=best.trace,
+        converged=best.converged,
         restarts_used=len(successes),
         n=n,
         p0=p0,
         penalty=config.penalty,
     )
+
+
+def fit(dataset, family, config, init_factors=None):
+    """Fit a rank-R tensor GLM by block relaxation.
+
+    Runs ``config.restarts`` starts (per-restart RNG streams spawned from
+    ``config.seed``) in lockstep and keeps the run with the best final
+    objective.  The returned coefficient is in normalized form.
+
+    ``init_factors`` optionally pins the starting factors of the first
+    restart (used e.g. to study sensitivity to initialization).
+
+    Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``
+    and for a ``y`` outside the family's support.  When every restart
+    fails, FitConvergenceError carries the objective trace of the restart
+    that ran the most cycles.
+    """
+    family = get_family(family)
+    _require_valid_fit_data(dataset, family)
+    _require_enough_observations(dataset, config)
+    if init_factors is not None:
+        init = CpTensor(init_factors)
+        if init.dims != dataset.dims or init.rank != config.rank:
+            raise DomainError(
+                f"init_factors have dims {init.dims} and rank {init.rank}; the "
+                f"fit needs dims {dataset.dims} and rank {config.rank}"
+            )
+    runs = _fit_lockstep(dataset, family, _starts(config, init_factors))
+    return _best_model(dataset, family, config, runs)
 
 
 def normalize_identifiability(coeff):
@@ -554,8 +682,10 @@ def bic(model, dataset):
 def select_rank(dataset, family, max_rank, config):
     """Fit ranks 1..max_rank and return (best-BIC model, selection table).
 
-    Ties break toward the smaller rank.  Ranks whose fit fails are
-    recorded in the table and skipped.
+    The restarts of every rank run in one lockstep fit, and each rank's
+    model is the best of its own restarts, as in :func:`fit`.  Ties break
+    toward the smaller rank.  Ranks whose fit fails are recorded in the
+    table and skipped.
     """
     if max_rank < 1:
         raise DomainError("max_rank must be >= 1")
@@ -563,18 +693,28 @@ def select_rank(dataset, family, max_rank, config):
     family = get_family(family)
     _require_valid_fit_data(dataset, family)
 
-    def run(rank):
+    plan, starts = [], []  # per rank: its config and first start, or its error
+    for rank in range(1, max_rank + 1):
         cfg = replace(config, rank=rank)
-
-        def task():
-            try:
-                return fit(dataset, family, cfg)
-            except TensorRegError as err:
-                return err
-
-        return task
-
-    results = _run_indexed([run(r) for r in range(1, max_rank + 1)], max_workers())
+        try:
+            _require_enough_observations(dataset, cfg)
+        except DomainError as err:
+            plan.append((cfg, err))
+            continue
+        plan.append((cfg, len(starts)))
+        starts += _starts(cfg)
+    runs = _fit_lockstep(dataset, family, starts)
+    results = []
+    for cfg, at in plan:
+        if isinstance(at, TensorRegError):
+            results.append(at)
+            continue
+        try:
+            results.append(
+                _best_model(dataset, family, cfg, runs[at : at + cfg.restarts])
+            )
+        except TensorRegError as err:
+            results.append(err)
     table = []
     best = None
     for rank, res in zip(range(1, max_rank + 1), results):

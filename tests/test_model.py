@@ -3,13 +3,18 @@ inference derivatives against finite differences, uniqueness checks."""
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorreg.errors import (
     DegenerateNormalizationWarning,
     DomainError,
+    FitConvergenceError,
+    GlmDivergenceError,
     InferenceError,
     KRankSizeError,
 )
@@ -35,7 +40,14 @@ from tensorreg.model import (
     select_rank,
     score_and_information,
 )
-from tensorreg.tensor_core import CpTensor, DenseTensor, cp_to_full, inner
+from tensorreg.tensor_core import (
+    CpTensor,
+    DenseTensor,
+    cp_to_full,
+    factor_chain_omitting,
+    inner,
+    mode_d_matricize,
+)
 
 
 def random_dataset(rng, n, dims, p0=0):
@@ -161,6 +173,51 @@ class TestBuildBlockDesign:
         with pytest.raises(DomainError):
             build_block_design(ds, random_cp(rng, (4, 3), 1), 1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        rank=st.integers(1, 4),
+        n=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_matches_per_sample_matricization(self, seed, dims, rank, n, data):
+        d = data.draw(st.integers(1, len(dims)), label="d")
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n, dims)
+        coeff = random_cp(rng, dims, rank)
+        chain = factor_chain_omitting(coeff.factors, d)
+        want = np.array(
+            [(mode_d_matricize(t, d) @ chain).ravel(order="F") for t in ds.x]
+        )
+        got = build_block_design(ds, coeff, d)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        n=st.integers(1, 30),
+    )
+    def test_stacked_design_is_the_starts_side_by_side(self, seed, dims, ranks, n):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n, dims)
+        starts = [random_cp(rng, dims, r) for r in ranks]
+        stacked = CpTensor(
+            [np.hstack([c.factors[k] for c in starts]) for k in range(len(dims))]
+        )
+        for d in range(1, len(dims) + 1):
+            design = build_block_design(ds, stacked, d)
+            end = 0
+            for c in starts:
+                start, end = end, end + dims[d - 1] * c.rank
+                np.testing.assert_allclose(
+                    design[:, start:end], build_block_design(ds, c, d),
+                    rtol=1e-12, atol=1e-12,
+                )
+            assert end == design.shape[1]
+
 
 class TestDatasetLayouts:
     def test_x_matrix_rows_are_vec(self):
@@ -184,21 +241,23 @@ class TestDatasetLayouts:
         for i in range(6):
             np.testing.assert_array_equal(xm[i], parsed[i].ravel(order="F"))
 
+    # rank 12 is the stacked column count of select_rank over ranks 1-3
+    # with 2 restarts
+    @pytest.mark.parametrize("dims,rank", [((32, 24), 2), ((16, 12, 8), 12)])
     def test_block_design_allocates_less_than_a_quarter_of_the_payload(
-        self, tmp_path
+        self, tmp_path, dims, rank
     ):
         import tracemalloc
 
         from tensorreg.io import parse_tensor_file, write_tensor_file
 
         rng = np.random.default_rng(7)
-        dims = (32, 24)
         path = tmp_path / "x.tnsr"
         write_tensor_file(path, rng.standard_normal((400,) + dims))
         ds = TensorGlmDataset(np.zeros(400), parse_tensor_file(path))
-        coeff = random_cp(rng, dims, 2)
+        coeff = random_cp(rng, dims, rank)
         payload = ds.x_matrix().nbytes
-        for d in (1, 2):
+        for d in range(1, len(dims) + 1):
             tracemalloc.start()
             try:
                 build_block_design(ds, coeff, d)
@@ -372,6 +431,41 @@ class TestFit:
             cp_to_full(m1.coeff).data, cp_to_full(m2.coeff).data, atol=1e-6
         )
 
+    def test_failed_fit_reports_the_outer_trace_of_the_furthest_restart(
+        self, monkeypatch
+    ):
+        from tensorreg import model as model_module
+
+        monkeypatch.setenv("TENSORREG_THREADS", "1")  # one thread counts cycles
+        rng = np.random.default_rng(43)
+        ds = simulate_normal(rng, 300, random_cp(rng, (5, 4), 2), gamma=[0.5])
+        cfg = FitConfig(rank=2, restarts=2, seed=9, epsilon=1e-300)
+        reference = fit(ds, "normal", replace(cfg, max_outer_iters=2))
+        assert len(reference.trace) == 3
+        inner = model_module.irls_fit
+        cycles_ended = [0]
+
+        def diverging(design, y, family, offset=None, **kwargs):
+            out = inner(design, y, family, offset=offset, **kwargs)
+            if design.shape[1] == 1 + ds.p0:  # intercept/covariate update
+                cycles_ended[0] += offset is not None
+            elif cycles_ended[0] == 2 * cfg.restarts:  # a block of cycle 3
+                raise GlmDivergenceError("diverged", last_fit=out)
+            return out
+
+        monkeypatch.setattr(model_module, "irls_fit", diverging)
+        with pytest.raises(FitConvergenceError) as err:
+            fit(ds, "normal", cfg)
+        assert err.value.best_trace == reference.trace
+
+    def test_mismatched_init_factors_rejected(self):
+        rng = np.random.default_rng(45)
+        ds = simulate_normal(rng, 100, random_cp(rng, (4, 3), 1))
+        cfg = FitConfig(rank=2, restarts=2)
+        for init in (random_cp(rng, (4, 3), 1), random_cp(rng, (3, 4), 2)):
+            with pytest.raises(DomainError, match="init_factors"):
+                fit(ds, "normal", cfg, init_factors=init.factors)
+
     def test_infeasible_unpenalized_size_rejected(self):
         rng = np.random.default_rng(16)
         ds = random_dataset(rng, 10, (4, 4))
@@ -420,6 +514,12 @@ class TestBicAndSelection:
         m1 = make_model(z1, n=50)
         m2 = make_model(z2, n=50)
         assert bic(m1, ds) < bic(m2, ds)
+
+    def test_select_rank_with_no_feasible_rank_raises(self):
+        rng = np.random.default_rng(46)
+        ds = random_dataset(rng, 5, (4, 4))
+        with pytest.raises(FitConvergenceError, match="no rank produced a model"):
+            select_rank(ds, "normal", 2, FitConfig(restarts=1))
 
     def test_select_rank_pure_noise_prefers_rank1(self):
         rng = np.random.default_rng(19)
@@ -797,6 +897,48 @@ class TestPenalizedBlockUpdate:
         assert not updated.any()
 
 
+class TestLockstep:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        restarts=st.integers(1, 2),
+        family=st.sampled_from(["normal", "bernoulli"]),
+        dims=st.sampled_from([(4, 3), (3, 3, 2)]),
+    )
+    def test_each_start_agrees_with_its_single_start_fit(
+        self, seed, ranks, restarts, family, dims
+    ):
+        from tensorreg.model import _fit_lockstep, _starts
+
+        rng = np.random.default_rng(seed)
+        fam = get_family(family)
+        x = rng.standard_normal((300,) + dims)
+        z = rng.standard_normal((300, 1))
+        truth = cp_to_full(random_cp(rng, dims, 1)).to_array()
+        eta = 0.3 * np.tensordot(x, truth, axes=len(dims)) + 0.5 * z[:, 0]
+        ds = TensorGlmDataset(fam.sample(eta, rng), x, z)
+        configs = [
+            FitConfig(rank=r, restarts=restarts, seed=seed + k, max_outer_iters=30)
+            for k, r in enumerate(ranks)
+        ]
+
+        def starts():
+            return [s for cfg in configs for s in _starts(cfg)]
+
+        together = _fit_lockstep(ds, fam, starts())
+        for k, run in enumerate(together):
+            (alone,) = _fit_lockstep(ds, fam, [starts()[k]])
+            assert type(run.error) is type(alone.error)
+            np.testing.assert_allclose(run.trace, alone.trace, rtol=1e-10)
+            if run.error is None:
+                want = cp_to_full(CpTensor(alone.factors)).data
+                np.testing.assert_allclose(
+                    cp_to_full(CpTensor(run.factors)).data, want, rtol=0.0,
+                    atol=1e-10 * (1.0 + np.abs(want).max()),
+                )
+
+
 class TestWorkerParallelism:
     def test_thread_cap_env_var_preserves_results(self, monkeypatch):
         from tensorreg.model import max_workers
@@ -825,18 +967,63 @@ class TestWorkerParallelism:
 
         from tensorreg import model as model_module
 
-        inner = model_module._fit_once
+        # the per-start block solves of the lockstep fit call irls_fit
+        inner = model_module.irls_fit
         peak = [0]
+        threads = set()
 
-        def counting_fit_once(*args, **kwargs):
+        def counting_block_solve(*args, **kwargs):
             peak[0] = max(peak[0], threading.active_count())
+            threads.add(threading.current_thread().name)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(model_module, "_fit_once", counting_fit_once)
+        monkeypatch.setattr(model_module, "irls_fit", counting_block_solve)
         monkeypatch.setenv("TENSORREG_THREADS", "2")
         rng = np.random.default_rng(42)
-        ds = simulate_normal(rng, 120, random_cp(rng, (4, 3), 1))
+        # mode-1 blocks of rank 3 are large enough to go to the workers
+        ds = simulate_normal(rng, 400, random_cp(rng, (50, 4), 1))
         before = threading.active_count()
         select_rank(ds, "normal", 3, FitConfig(restarts=2, seed=5))
         # the calling thread plus at most TENSORREG_THREADS workers
         assert peak[0] <= before + 2
+        assert any(name.startswith("tensorreg-worker") for name in threads)
+
+    def test_fit_and_select_rank_are_bit_identical_across_thread_counts(
+        self, monkeypatch
+    ):
+        import threading
+
+        from tensorreg import model as model_module
+
+        inner = model_module.irls_fit
+        names = set()
+
+        def recording_block_solve(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "irls_fit", recording_block_solve)
+        # mode-1 blocks large enough to go to the workers
+        rng = np.random.default_rng(44)
+        normal = simulate_normal(rng, 600, random_cp(rng, (60, 5), 2), gamma=[1.0])
+        x = rng.standard_normal((600, 40, 4, 3))
+        fam = get_family("bernoulli")
+        eta = np.tensordot(x, cp_to_full(random_cp(rng, (40, 4, 3), 1)).to_array(), 3)
+        binary = TensorGlmDataset(fam.sample(0.2 * eta, rng), x)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TENSORREG_THREADS", threads)
+            names.clear()
+            model = fit(normal, "normal", FitConfig(rank=2, restarts=5, seed=3))
+            best, table = select_rank(
+                binary, fam, 3, FitConfig(restarts=2, seed=4, max_outer_iters=40)
+            )
+            runs[threads] = (model, best, table)
+            on_workers = any(name.startswith("tensorreg-worker") for name in names)
+            assert on_workers == (threads == "2")
+        for a, b in zip(runs["1"][:2], runs["2"][:2]):
+            for fa, fb in zip(a.coeff.factors, b.coeff.factors):
+                np.testing.assert_array_equal(fa, fb)
+            assert a.trace == b.trace
+            assert a.bic == b.bic
+        assert runs["1"][2] == runs["2"][2]
