@@ -22,6 +22,7 @@ from .glm import get_family
 from .model import (
     FitConfig,
     TensorGlmDataset,
+    bic_from_loglik,
     effective_parameters,
     fit,
     model_from_document,
@@ -268,7 +269,7 @@ def cmd_inspect(args):
         doc = json.load(fh)
     model = model_from_document(doc)
     p_e = effective_parameters(model.dims, model.rank, model.p0)
-    recomputed = float(-2.0 * model.loglik + np.log(model.n) * p_e)
+    recomputed = bic_from_loglik(model.loglik, model.n, p_e)
     print(f"family: {model.family.name}")
     print(f"dims: {'x'.join(map(str, model.dims))}")
     print(f"rank: {model.rank}")

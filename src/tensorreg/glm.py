@@ -243,13 +243,30 @@ class GlmFit:
     trace: list = field(default_factory=list, repr=False)
 
 
-def _as_offset(offset, n):
+def _as_problem(design, y, offset):
+    """The design as a 2-D float array, the response and the offset as vectors."""
+    X = np.asarray(design, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = X.shape[0]
+    if y.size != n:
+        raise DomainError(f"{n} design rows vs {y.size} responses")
     if offset is None:
-        return np.zeros(n)
+        return X, y, np.zeros(n)
     offset = np.asarray(offset, dtype=np.float64).reshape(-1)
     if offset.size != n:
         raise DomainError(f"offset length {offset.size} != {n} observations")
-    return offset
+    return X, y, offset
+
+
+def _as_start(start, p):
+    if start is None:
+        return np.zeros(p)
+    beta = np.asarray(start, dtype=np.float64).reshape(-1).copy()
+    if beta.size != p:
+        raise DomainError(f"start has {beta.size} entries for {p} columns")
+    return beta
 
 
 def _pearson_phi(family, y, eta, ncols):
@@ -286,6 +303,75 @@ def _cholesky_solve(G, c):
     return np.linalg.solve(L.T, np.linalg.solve(L, c))
 
 
+def _least_squares_step(X, w, z, beta, first):
+    """The weighted least-squares solution of ``X b ~ z`` with weights ``w``.
+
+    Cholesky on ``X'WX``, or the rank-revealing SVD solve when that is
+    badly conditioned; a rank-deficient design on the ``first`` step
+    raises SingularDesignError.
+    """
+    step = _cholesky_solve(*_weighted_gram(X, w, z))
+    if step is None:
+        sw = np.sqrt(w)
+        step, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)
+        if first and rank < X.shape[1]:
+            raise SingularDesignError(X.shape[1], int(rank))
+    return step
+
+
+def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
+    """Maximize ``loglik - penalty(beta)`` by IRLS from ``beta``.
+
+    Each iteration forms the working response ``z`` and weights ``w`` at
+    the current linear predictor, and ``solve(X, w, z, beta, first)``
+    maximizes the working quadratic (with the penalty, if any).  The
+    quadratic is only a local model for non-normal families, so the step
+    is halved back toward the current iterate until the objective does not
+    fall; the 40th halving is the last one evaluated, and is kept either
+    way.  When the log-likelihood is quadratic in eta an undamped step is
+    exact and the loop stops there.  ``penalty`` is None for a plain fit.
+
+    Returns a GlmFit whose trace holds the objective at every iterate,
+    with ``converged`` False when ``max_iter`` ran out.
+    """
+
+    def objective(beta):
+        eta = X @ beta + offset
+        ll = log_likelihood(family, y, eta, 1.0)
+        return eta, ll, ll if penalty is None else ll - penalty(beta)
+
+    eta, ll, obj = objective(beta)
+    trace = [obj]
+    converged = False
+    for it in range(1, max_iter + 1):
+        w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
+        z = (eta - offset) + (y - family.mean(eta)) / w
+        beta_new = solve(X, w, z, beta, it == 1)
+        for halvings in range(41):
+            eta_new, ll_new, obj_new = objective(beta_new)
+            if halvings == 40 or (
+                np.isfinite(obj_new) and obj_new >= obj - 1e-12 * (1.0 + abs(obj))
+            ):
+                break
+            beta_new = 0.5 * (beta_new + beta)
+        beta, eta, ll = beta_new, eta_new, ll_new
+        obj_prev, obj = obj, obj_new
+        trace.append(obj)
+        exact = family.quadratic_loglik and halvings == 0
+        if exact or abs(obj - obj_prev) <= tol * (1.0 + abs(obj)):
+            converged = True
+            break
+    return GlmFit(
+        coefficients=beta,
+        loglik=ll,
+        iterations=len(trace) - 1,
+        converged=converged,
+        phi=_pearson_phi(family, y, eta, X.shape[1]),
+        eta=eta,
+        trace=trace,
+    )
+
+
 def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=100):
     """Maximum-likelihood GLM fit by iteratively reweighted least squares.
 
@@ -308,79 +394,16 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
         family); the error carries the last iterate.
     """
     family = get_family(family)
-    X = np.asarray(design, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n, p = X.shape
-    if y.size != n:
-        raise DomainError(f"{n} design rows vs {y.size} responses")
-    offset = _as_offset(offset, n)
-
-    if start is None:
-        beta = np.zeros(p)
-    else:
-        beta = np.asarray(start, dtype=np.float64).reshape(-1).copy()
-        if beta.size != p:
-            raise DomainError(f"start has {beta.size} entries for {p} columns")
-    eta = X @ beta + offset
-    ll = log_likelihood(family, y, eta, 1.0)
-    trace = [ll]
-    for it in range(1, max_iter + 1):
-        mu = family.mean(eta)
-        w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
-        z = (eta - offset) + (y - mu) / w
-        beta_new = _cholesky_solve(*_weighted_gram(X, w, z))
-        if beta_new is None:
-            sw = np.sqrt(w)
-            beta_new, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)
-            if it == 1 and rank < p:
-                raise SingularDesignError(p, int(rank))
-        # Step-halving: guarantee monotone ascent of the log-likelihood.
-        for halvings in range(40):
-            eta_new = X @ beta_new + offset
-            ll_new = log_likelihood(family, y, eta_new, 1.0)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
-                break
-            beta_new = 0.5 * (beta_new + beta)
-        else:
-            # every halving failed: the last one was never evaluated
-            eta_new = X @ beta_new + offset
-            ll_new = log_likelihood(family, y, eta_new, 1.0)
-        beta, eta = beta_new, eta_new
-        ll_prev, ll = ll, ll_new
-        trace.append(ll)
-        exact = family.quadratic_loglik and halvings == 0
-        if exact or abs(ll - ll_prev) <= tol * (1.0 + abs(ll)):
-            return GlmFit(
-                coefficients=beta,
-                loglik=ll,
-                iterations=it,
-                converged=True,
-                phi=_pearson_phi(family, y, eta, p),
-                eta=eta,
-                trace=trace,
-            )
-    last = GlmFit(
-        coefficients=beta,
-        loglik=ll,
-        iterations=max_iter,
-        converged=False,
-        phi=_pearson_phi(family, y, eta, p),
-        eta=eta,
-        trace=trace,
-    )
-    raise GlmDivergenceError(
-        f"IRLS did not converge in {max_iter} iterations "
-        f"(family={family.name}; possible separation or unstable design)",
-        last_fit=last,
-    )
-
-
-def _penalized_objective(family, y, X, offset, beta, penalized, spec):
-    eta = X @ beta + offset
-    ll = log_likelihood(family, y, eta, 1.0)
-    return ll - float(np.sum(penalty_value(spec, beta[penalized]))), eta
+    X, y, offset = _as_problem(design, y, offset)
+    beta = _as_start(start, X.shape[1])
+    fit = _irls(family, y, X, offset, beta, _least_squares_step, None, tol, max_iter)
+    if not fit.converged:
+        raise GlmDivergenceError(
+            f"IRLS did not converge in {max_iter} iterations "
+            f"(family={family.name}; possible separation or unstable design)",
+            last_fit=fit,
+        )
+    return fit
 
 
 def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
@@ -459,41 +482,6 @@ def _exact_finish(G, cvec, signs, penalized, spec, tol):
     return cand if np.max(np.abs(moved - cand)) <= tol else None
 
 
-def _penalized_path(family, y, X, offset, spec, penalized, beta0, tol, max_iter,
-                    max_sweeps):
-    """IRLS-majorized coordinate descent from one starting point."""
-    beta = beta0.copy()
-    obj, eta = _penalized_objective(family, y, X, offset, beta, penalized, spec)
-    trace = [obj]
-    for it in range(1, max_iter + 1):
-        mu = family.mean(eta)
-        w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
-        z = (eta - offset) + (y - mu) / w
-        G, cvec = _weighted_gram(X, w, z)
-        beta_new = _cd_on_quadratic(G, cvec, beta, penalized, spec,
-                                    tol=1e-12, max_sweeps=max_sweeps)
-        # The quadratic is only a local model for non-normal families;
-        # halve back toward the previous iterate if the true objective fell.
-        obj_new, eta_new = _penalized_objective(
-            family, y, X, offset, beta_new, penalized, spec
-        )
-        for halvings in range(40):
-            if np.isfinite(obj_new) and obj_new >= obj - 1e-12 * (1.0 + abs(obj)):
-                break
-            beta_new = 0.5 * (beta_new + beta)
-            obj_new, eta_new = _penalized_objective(
-                family, y, X, offset, beta_new, penalized, spec
-            )
-        beta, eta = beta_new, eta_new
-        trace.append(obj_new)
-        # An exact quadratic was solved: a second iteration cannot move.
-        exact = family.quadratic_loglik and halvings == 0
-        if exact or abs(obj_new - obj) <= tol * (1.0 + abs(obj_new)):
-            return beta, eta, obj_new, it, True, trace
-        obj = obj_new
-    return beta, eta, obj, max_iter, False, trace
-
-
 def penalized_fit(design, y, family, offset=None, penalty=None,
                   unpenalized_mask=None, *, warm_start=None, tol=1e-9,
                   max_iter=100, max_sweeps=1000, restarts=3):
@@ -502,17 +490,16 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
     Maximizes ``loglik - sum_j P(|beta_j|)`` over the penalized
     coordinates; coordinates flagged in ``unpenalized_mask`` (e.g.
     intercept columns) are updated without shrinkage.  With no penalty or
-    ``rho = 0`` this delegates to :func:`irls_fit`.  Nonconvex penalties
-    (power with lam < 1, SCAD) are solved from up to ``restarts``
-    deterministic starting points and the best objective wins.
+    ``rho = 0`` this delegates to :func:`irls_fit`, started from
+    ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`
+    with coordinate descent as the quadratic step, and step-halving keeps
+    the penalized objective nondecreasing.  Nonconvex penalties (power
+    with lam < 1, SCAD) are solved from up to ``restarts`` deterministic
+    starting points and the best objective wins.
     """
     family = get_family(family)
-    X = np.asarray(design, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n, p = X.shape
-    offset = _as_offset(offset, n)
+    X, y, offset = _as_problem(design, y, offset)
+    p = X.shape[1]
     if unpenalized_mask is None:
         unpenalized_mask = np.zeros(p, dtype=bool)
     else:
@@ -522,7 +509,8 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
                 f"mask length {unpenalized_mask.size} != {p} design columns"
             )
     if penalty is None or penalty.rho == 0.0:
-        return irls_fit(design, y, family, offset, tol=tol, max_iter=max_iter)
+        return irls_fit(X, y, family, offset, start=warm_start, tol=tol,
+                        max_iter=max_iter)
     penalized = ~unpenalized_mask
 
     if unpenalized_mask.any():
@@ -533,7 +521,7 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
 
     starts = []
     if warm_start is not None:
-        starts.append(np.asarray(warm_start, dtype=np.float64).reshape(-1).copy())
+        starts.append(_as_start(warm_start, p))
     starts.append(np.zeros(p))
     if not penalty.is_convex:
         try:
@@ -548,28 +536,22 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
         # Convex objective: any start reaches the unique optimum.
         starts = starts[:1]
 
-    best = None
-    for k, b0 in enumerate(starts):
-        beta, eta, obj, its, conv, trace = _penalized_path(
-            family, y, X, offset, penalty, penalized, b0, tol, max_iter, max_sweeps
-        )
-        if best is None or obj > best[2]:
-            best = (beta, eta, obj, its, conv, k, trace)
-    beta, eta, obj, its, conv, k, trace = best
-    if not conv:
-        last = GlmFit(beta, log_likelihood(family, y, eta, 1.0), its, False,
-                      phi=_pearson_phi(family, y, eta, p), eta=eta, trace=trace)
+    def solve(X, w, z, beta, first):
+        return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalized, penalty,
+                                tol=1e-12, max_sweeps=max_sweeps)
+
+    def cost(beta):
+        return float(np.sum(penalty_value(penalty, beta[penalized])))
+
+    fits = [_irls(family, y, X, offset, b0, solve, cost, tol, max_iter)
+            for b0 in starts]
+    k = max(range(len(fits)), key=lambda i: fits[i].trace[-1])
+    best = fits[k]
+    if not best.converged:
         raise GlmDivergenceError(
             f"penalized fit did not converge in {max_iter} outer iterations",
-            last_fit=last,
+            last_fit=best,
         )
-    return GlmFit(
-        coefficients=beta,
-        loglik=log_likelihood(family, y, eta, 1.0),
-        iterations=its,
-        converged=True,
-        phi=_pearson_phi(family, y, eta, p),
-        restart_selected=k if len(starts) > 1 else None,
-        eta=eta,
-        trace=trace,
-    )
+    if len(starts) > 1:
+        best.restart_selected = k
+    return best

@@ -275,13 +275,23 @@ class TensorGlmModel:
         return cp_to_full(self.coeff)
 
     def linear_predictor(self, dataset):
-        eta = np.full(dataset.n, self.alpha)
-        if self.p0:
-            eta = eta + dataset.z @ self.gamma
-        return eta + dataset.x_matrix() @ cp_to_full(self.coeff).data
+        return _linear_predictor(dataset, self.alpha, self.gamma, self.coeff)
 
     def predict_mean(self, dataset):
         return self.family.mean(self.linear_predictor(dataset))
+
+
+def _linear_predictor(dataset, alpha, gamma, coeff):
+    """``eta_i = alpha + gamma'z_i + <B, x_i>`` for every sample."""
+    eta = np.full(dataset.n, alpha)
+    if gamma.size:
+        eta = eta + dataset.z @ gamma
+    return eta + dataset.x_matrix() @ cp_to_full(coeff).data
+
+
+def bic_from_loglik(loglik, n, p_e):
+    """Bayesian information criterion ``-2 loglik + log(n) p_e``."""
+    return float(-2.0 * loglik + np.log(n) * p_e)
 
 
 # Entries of the middle-mode intermediate per row block: about 256 KB, the
@@ -565,10 +575,7 @@ def _best_model(dataset, family, config, runs):
 
     coeff = normalize_identifiability(CpTensor(best.factors))
     p_e = effective_parameters(dims, config.rank, p0)
-    eta = np.full(n, alpha)
-    if p0:
-        eta = eta + dataset.z @ gamma
-    eta = eta + dataset.x_matrix() @ cp_to_full(coeff).data
+    eta = _linear_predictor(dataset, alpha, gamma, coeff)
     if family.dispersion_fixed:
         phi = 1.0
     else:
@@ -576,7 +583,6 @@ def _best_model(dataset, family, config, runs):
         dof = n - p_e if n > p_e else n
         phi = float(np.sum((dataset.y - mu) ** 2 / family.variance(mu)) / dof)
     loglik = log_likelihood(family, dataset.y, eta, phi)
-    bic_value = float(-2.0 * loglik + np.log(n) * p_e)
     return TensorGlmModel(
         alpha=alpha,
         gamma=gamma,
@@ -584,7 +590,7 @@ def _best_model(dataset, family, config, runs):
         family=family,
         phi=phi,
         loglik=loglik,
-        bic=bic_value,
+        bic=bic_from_loglik(loglik, n, p_e),
         trace=best.trace,
         converged=best.converged,
         restarts_used=len(successes),
@@ -672,11 +678,11 @@ def normalize_identifiability(coeff):
 
 
 def bic(model, dataset):
-    """Bayesian information criterion ``-2 loglik + log(n) p_e``."""
+    """Bayesian information criterion of ``model`` on ``dataset``."""
     eta = model.linear_predictor(dataset)
     ll = log_likelihood(model.family, dataset.y, eta, model.phi)
     p_e = effective_parameters(model.dims, model.rank, model.p0)
-    return float(-2.0 * ll + np.log(dataset.n) * p_e)
+    return bic_from_loglik(ll, dataset.n, p_e)
 
 
 def select_rank(dataset, family, max_rank, config):

@@ -162,7 +162,14 @@ class TestIrlsFit:
         resid = y - X @ fit.coefficients
         assert fit.phi == pytest.approx(resid @ resid / (500 - 2), rel=1e-10)
 
-    def test_spent_halvings_return_the_eta_of_the_last_halving(self, monkeypatch):
+    @pytest.mark.parametrize("solve", [
+        lambda X, y, offset: irls_fit(X, y, "normal", offset, max_iter=1),
+        lambda X, y, offset: penalized_fit(X, y, "normal", offset,
+                                           penalty=PenaltySpec("lasso", 1.0),
+                                           max_iter=1),
+    ], ids=["irls_fit", "penalized_fit"])
+    def test_spent_halvings_return_the_eta_of_the_last_halving(self, monkeypatch,
+                                                                solve):
         # Every trial step is rejected, so the returned iterate is the one
         # halved after the last evaluation and its eta must be recomputed.
         rng = np.random.default_rng(14)
@@ -179,7 +186,7 @@ class TestIrlsFit:
 
         monkeypatch.setattr(glm, "log_likelihood", worse_than_start)
         with pytest.raises(GlmDivergenceError) as err:
-            irls_fit(X, y, "normal", offset, max_iter=1)
+            solve(X, y, offset)
         assert len(calls) == 1 + 40 + 1
         last = err.value.last_fit
         assert not np.array_equal(last.eta, calls[-2])
@@ -261,6 +268,19 @@ class TestPenalizedFit:
         plain = irls_fit(X, y, "normal")
         pen = penalized_fit(X, y, "normal", penalty=PenaltySpec("lasso", 0.0))
         np.testing.assert_allclose(pen.coefficients, plain.coefficients, atol=1e-8)
+
+    def test_rho_zero_honours_the_warm_start(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((200, 4))
+        y = get_family("bernoulli").sample(X @ np.array([1.0, -0.5, 0.3, 0.0]), rng)
+        b = irls_fit(X, y, "bernoulli").coefficients + 0.01
+        plain = irls_fit(X, y, "bernoulli", start=b, tol=1e-9)
+        pen = penalized_fit(X, y, "bernoulli", penalty=PenaltySpec("lasso", 0.0),
+                            warm_start=b)
+        assert pen.iterations == plain.iterations
+        assert pen.trace == plain.trace
+        np.testing.assert_array_equal(pen.coefficients, plain.coefficients)
+        np.testing.assert_array_equal(pen.eta, plain.eta)
 
     def test_huge_rho_zeroes_penalized_coordinates(self):
         rng = np.random.default_rng(8)
