@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .errors import DomainError, GlmDivergenceError, SingularDesignError
 from .penalties import penalty_value, threshold_update
@@ -30,6 +29,19 @@ _MIN_WEIGHT = 1e-10
 # Cholesky pivots below this share of the largest one send a weighted least
 # squares step to the SVD solve, which determines the numerical rank.
 _PIVOT_RATIO = 1e-6
+
+
+def expit(x):
+    """Logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow.  Beyond
+    ``|x| > 708`` it underflows gradually toward the tiny true value, which
+    is not an error.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+    return np.where(x < 0.0, e, 1.0) / (1.0 + e)
 
 
 class GlmFamily:
@@ -179,7 +191,10 @@ class PoissonFamily(GlmFamily):
 
     def c(self, y, phi):
         # Data-only constant log(y!), included so likelihoods are comparable
-        # across models fitted to the same data.
+        # across models fitted to the same data.  scipy is imported here:
+        # only the poisson family needs it, and it dominates the import.
+        from scipy.special import gammaln
+
         return -gammaln(np.asarray(y, dtype=np.float64) + 1.0)
 
     def sample(self, eta, rng):
@@ -344,8 +359,10 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
     trace = [obj]
     converged = False
     for it in range(1, max_iter + 1):
-        w = np.maximum(family.mean_deriv(eta), _MIN_WEIGHT)
-        z = (eta - offset) + (y - family.mean(eta)) / w
+        # canonical link: mu'(eta) = V(mu), so the mean is computed once
+        mu = family.mean(eta)
+        w = np.maximum(family.variance(mu), _MIN_WEIGHT)
+        z = (eta - offset) + (y - mu) / w
         beta_new = solve(X, w, z, beta, it == 1)
         for halvings in range(41):
             eta_new, ll_new, obj_new = objective(beta_new)

@@ -24,6 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# numpy loads its random module on first use; every fit spawns its restart
+# streams from it, so it is loaded with the package rather than in a fit.
+from numpy.random import SeedSequence, default_rng
+
 from .errors import (
     DegenerateNormalizationWarning,
     DomainError,
@@ -299,7 +303,7 @@ def bic_from_loglik(loglik, n, p_e):
 _BLOCK_ENTRIES = 2**15
 
 
-def build_block_design(dataset, coeff, d):
+def build_block_design(dataset, coeff, d, *, out=None):
     """Design matrix for the mode-d factor update.
 
     Row i is ``vec(X_{i(d)} W_d)`` where ``W_d`` is the Khatri-Rao chain
@@ -315,6 +319,9 @@ def build_block_design(dataset, coeff, d):
     chain and the last mode by the lower chain.  A middle mode contracts
     the upper chain first, then L, in row blocks whose intermediate stays
     within an eighth of the payload and about 256 KB.
+
+    ``out``, a float64 vector of at least ``n * R * p_d`` entries, receives
+    the design in its head, and the result is a view of it.
     """
     if coeff.dims != dataset.dims:
         raise DomainError(
@@ -327,18 +334,18 @@ def build_block_design(dataset, coeff, d):
     L = math.prod(dataset.dims[: d - 1])
     H = math.prod(dataset.dims[d:])
     x = dataset.x_matrix()
+    out = np.empty((n, R, p)) if out is None else out[: n * R * p].reshape(n, R, p)
     if d == 1:
         upper = factor_chain_omitting(coeff.factors, 1)  # (H, R)
-        out = upper.T @ x.reshape(n, H, p)
+        np.matmul(upper.T, x.reshape(n, H, p), out=out)
     elif d == D:
         lower = factor_chain_omitting(coeff.factors, D)  # (L, R)
-        out = lower.T @ x.reshape(n, p, L).transpose(0, 2, 1)
+        np.matmul(lower.T, x.reshape(n, p, L).transpose(0, 2, 1), out=out)
     else:
         upper_t = factor_chain_omitting(coeff.factors, range(1, d + 1)).T  # (R, H)
         lower = factor_chain_omitting(coeff.factors, range(d, D + 1))  # (L, R)
         lower_cols = lower.T[:, :, None]  # (R, L, 1)
         rows = max(1, min(n * H // (8 * R), _BLOCK_ENTRIES // (R * p * L)))
-        out = np.empty((n, R, p))
         buf = np.empty((min(rows, n), R, p * L))
         for s in range(0, n, rows):
             m = min(rows, n - s)
@@ -393,9 +400,9 @@ def _starts(config, init_factors=None):
     """``(config, rng, init_factors)`` for each restart of ``config``: RNG
     streams spawned from ``config.seed``, ``init_factors`` pinning the
     first."""
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    seeds = SeedSequence(config.seed).spawn(config.restarts)
     return [
-        (config, np.random.default_rng(seed), init_factors if i == 0 else None)
+        (config, default_rng(seed), init_factors if i == 0 else None)
         for i, seed in enumerate(seeds)
     ]
 
@@ -536,6 +543,10 @@ def _fit_lockstep(dataset, family, starts):
         run.trace.append(objective(run))
 
     running = list(runs)
+    # one buffer for every block design of the loop: a fresh array per
+    # mode and cycle would be mapped and page-faulted anew each time once
+    # it passes malloc's mmap threshold
+    work = np.empty(n * max(dims) * sum(run.config.rank for run in runs))
     with _worker_pool(max_workers()) as run_tasks:
         while running:
             for d in range(1, D + 1):
@@ -544,7 +555,7 @@ def _fit_lockstep(dataset, family, starts):
                 stacked = CpTensor(
                     [np.hstack([run.factors[k] for run in running]) for k in range(D)]
                 )
-                design = build_block_design(dataset, stacked, d)
+                design = build_block_design(dataset, stacked, d, out=work)
                 tasks, end = [], 0
                 for run in running:  # each start's columns, in stacking order
                     start, end = end, end + dims[d - 1] * run.config.rank
@@ -658,7 +669,8 @@ def normalize_identifiability(coeff):
     factors[D - 1] = factors[D - 1] * scale
 
     lead = factors[D - 1][0, :]
-    if np.unique(lead).size < R:
+    # a sorted tie test: np.unique would load numpy.ma inside the fit
+    if (np.diff(np.sort(lead)) == 0).any():
         degenerate = True
     if R > 1:
         # np.lexsort orders by the *last* key first: primary key is the

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import khatri_rao as _scipy_khatri_rao
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -263,7 +262,8 @@ def khatri_rao(a, b):
         raise DimensionMismatchError(
             f"Khatri-Rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
         )
-    return _scipy_khatri_rao(a, b)
+    prod = a[:, None, :] * b[None, :, :]
+    return prod.reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def khatri_rao_chain(mats):

@@ -51,6 +51,40 @@ class TestFamilies:
         np.testing.assert_allclose(fam.link(fam.mean(eta)), eta, rtol=1e-10)
 
 
+class TestExpit:
+    """The numpy logistic function against scipy's and the exact value."""
+
+    grid = np.linspace(-745.0, 745.0, 200001)
+
+    def test_agrees_with_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        ref = special.expit(self.grid)
+        got = glm.expit(self.grid)
+        # scipy forms 1 / (1 + exp(-x)), whose exp overflows below
+        # x = -709.78 and gives 0; the exact value there is subnormal
+        flushed = ref == 0.0
+        assert (self.grid[flushed] < -709.78).all()
+        assert (got[flushed] < np.finfo(np.float64).tiny).all()
+        # each is within 2 ulp of the exact value (next test), in
+        # opposite directions at worst
+        np.testing.assert_array_max_ulp(got[~flushed], ref[~flushed], maxulp=3)
+
+    def test_within_two_ulp_of_the_exact_value(self):
+        from decimal import Decimal, localcontext
+
+        xs = self.grid[::10]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = np.array([float(1 / (1 + (-Decimal(x)).exp())) for x in xs])
+        np.testing.assert_array_max_ulp(glm.expit(xs), exact, maxulp=2)
+
+    def test_limits_raise_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            got = glm.expit(np.concatenate([[-np.inf, np.inf], self.grid]))
+        assert got[0] == 0.0 and got[1] == 1.0
+        assert np.all(np.diff(got[2:]) >= 0.0)
+
+
 class TestLogLikelihood:
     def test_normal_zero_residuals(self):
         y = np.array([0.3, -1.2, 2.0, 0.0])

@@ -218,6 +218,17 @@ class TestBuildBlockDesign:
                 )
             assert end == design.shape[1]
 
+    @pytest.mark.parametrize("dims", [(5, 4), (3, 4, 2)])
+    def test_out_buffer_holds_the_same_design(self, dims):
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, 7, dims)
+        coeff = random_cp(rng, dims, 2)
+        work = np.full(7 * max(dims) * 2 + 3, np.nan)
+        for d in range(1, len(dims) + 1):
+            got = build_block_design(ds, coeff, d, out=work)
+            assert np.shares_memory(got, work)
+            assert np.array_equal(got, build_block_design(ds, coeff, d))
+
 
 class TestDatasetLayouts:
     def test_x_matrix_rows_are_vec(self):

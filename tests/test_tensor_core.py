@@ -267,6 +267,18 @@ class TestKhatriRao:
                 got[:, r], np.kron(a[:, r], b[:, r]), rtol=0, atol=0
             )
 
+    def test_equals_scipy_bit_for_bit(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((7, 3))
+        b = rng.standard_normal((5, 3))
+        got = khatri_rao(a, b)
+        assert got.shape == (35, 3)
+        assert np.array_equal(got, linalg.khatri_rao(a, b))
+
+    def test_empty_factor(self):
+        assert khatri_rao(np.ones((0, 3)), np.ones((5, 3))).shape == (0, 3)
+
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
