@@ -46,11 +46,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(value):
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return n
+def _at_least(low, convert=int):
+    """argparse type: ``convert(value)``, rejected below ``low`` (or NaN)."""
+
+    def parse(value):
+        v = convert(value)
+        if not v >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return v
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _at_least(1)
+_nonnegative_int = _at_least(0)
 
 
 def _int_list(value):
@@ -70,7 +80,7 @@ def _add_fit_options(p, with_rank=True):
         p.add_argument("--rank", type=_positive_int, default=1)
     p.add_argument("--penalty", choices=["lasso", "ridge", "bridge", "power",
                                          "elastic_net", "scad"])
-    p.add_argument("--rho", type=float, default=0.0)
+    p.add_argument("--rho", type=_at_least(0.0, float), default=0.0)
     p.add_argument("--lam", type=float, help="penalty family index")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-outer-iters", type=_positive_int, default=500)
@@ -94,7 +104,7 @@ def build_parser():
     p_sim.add_argument("--family", default="normal",
                        choices=["normal", "bernoulli", "poisson"])
     p_sim.add_argument("--n", type=_positive_int, required=True)
-    p_sim.add_argument("--gamma-dim", type=int, default=5)
+    p_sim.add_argument("--gamma-dim", type=_nonnegative_int, default=5)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output-dir", required=True)
 
@@ -112,7 +122,7 @@ def build_parser():
                          help="fit at this fixed rank")
     p_bench.add_argument("--max-rank", type=_positive_int,
                          help="select rank by BIC up to this bound")
-    p_bench.add_argument("--gamma-dim", type=int, default=5)
+    p_bench.add_argument("--gamma-dim", type=_nonnegative_int, default=5)
     p_bench.add_argument("--epsilon", type=float)
     p_bench.add_argument("--max-outer-iters", type=_positive_int, default=500)
     p_bench.add_argument("--restarts", type=_positive_int, default=2)
@@ -152,7 +162,9 @@ def _load_dataset(args):
 
 def _fit_config(args, rank):
     penalty = None
-    if args.penalty is not None and args.rho > 0.0:
+    if args.rho > 0.0:  # rho = 0 means no penalty, with or without --penalty
+        if args.penalty is None:
+            raise TensorRegError(f"--rho {args.rho:g} needs a --penalty")
         penalty = PenaltySpec(args.penalty, args.rho, args.lam)
     return FitConfig(
         rank=rank,
@@ -179,8 +191,8 @@ def _write_model_outputs(model, outdir):
 
 
 def cmd_fit(args):
-    dataset = _load_dataset(args)
-    model = fit(dataset, get_family(args.family), _fit_config(args, args.rank))
+    config = _fit_config(args, args.rank)
+    model = fit(_load_dataset(args), get_family(args.family), config)
     path = _write_model_outputs(model, args.output_dir)
     print(f"model written to {path}")
     print(f"loglik={model.loglik!r} bic={model.bic!r} converged={model.converged}")
@@ -188,8 +200,6 @@ def cmd_fit(args):
 
 
 def cmd_simulate(args):
-    if args.gamma_dim < 0:
-        raise TensorRegError("--gamma-dim must be nonnegative")
     signal = generate_shape(ShapeSpec(args.shape, args.size))
     spec = SimSpec(
         signal=signal,
@@ -235,7 +245,7 @@ def cmd_benchmark(args):
         replicates=args.replicates,
         family=args.family,
         config=config,
-        gamma=np.ones(args.gamma_dim) if args.gamma_dim else np.zeros(0),
+        gamma=np.ones(args.gamma_dim),
         max_rank=args.max_rank,
     )
     tio.write_study_csv(args.output, result.rows)
@@ -246,9 +256,9 @@ def cmd_benchmark(args):
 
 
 def cmd_rank_select(args):
-    dataset = _load_dataset(args)
+    config = _fit_config(args, 1)
     model, table = select_rank(
-        dataset, get_family(args.family), args.max_rank, _fit_config(args, 1)
+        _load_dataset(args), get_family(args.family), args.max_rank, config
     )
     os.makedirs(args.output_dir, exist_ok=True)
     table_path = os.path.join(args.output_dir, "bic_table.csv")

@@ -47,10 +47,12 @@ def expit(x):
 class GlmFamily:
     """An exponential-family response with its canonical link.
 
-    Subclasses provide the cumulant ``b``, its derivatives (the mean and
-    variance functions), the canonical link, and the log-density constant
-    ``c(y, phi)``.  With a canonical link ``theta(eta) = eta``, so
-    ``theta'(eta) = 1`` and ``theta''(eta) = 0`` everywhere.
+    Subclasses provide the cumulant ``b``, the mean ``mu = b'(eta)`` and
+    variance ``V(mu) = b''(eta)`` functions, the dispersion scale
+    ``a(phi)``, the log-density constant ``c(y, phi)`` and the link.  The
+    link is canonical, so the natural parameter is ``eta`` itself, and the
+    derivatives of the log-likelihood in ``eta`` are ``(y - mu) / a(phi)``
+    and ``-V(mu) / a(phi)``.
     """
 
     name = "?"
@@ -60,15 +62,6 @@ class GlmFamily:
     quadratic_loglik = False
     support = "the real line"
 
-    def theta(self, eta):
-        return eta
-
-    def theta_prime(self, eta):
-        return np.ones_like(np.asarray(eta, dtype=np.float64))
-
-    def theta_second(self, eta):
-        return np.zeros_like(np.asarray(eta, dtype=np.float64))
-
     def a_phi(self, phi):
         """Dispersion scale ``a(phi)``: 1 for fixed-dispersion families."""
         return 1.0
@@ -77,11 +70,7 @@ class GlmFamily:
         raise NotImplementedError
 
     def mean(self, eta):
-        """Mean function ``mu(eta) = b'(theta(eta))``."""
-        raise NotImplementedError
-
-    def mean_deriv(self, eta):
-        """``mu'(eta) = b''(theta)`` for canonical links."""
+        """Mean function ``mu(eta) = b'(eta)``."""
         raise NotImplementedError
 
     def variance(self, mu):
@@ -122,9 +111,6 @@ class NormalFamily(GlmFamily):
     def mean(self, eta):
         return np.asarray(eta, dtype=np.float64)
 
-    def mean_deriv(self, eta):
-        return np.ones_like(np.asarray(eta, dtype=np.float64))
-
     def variance(self, mu):
         return np.ones_like(np.asarray(mu, dtype=np.float64))
 
@@ -148,10 +134,6 @@ class BernoulliFamily(GlmFamily):
 
     def mean(self, eta):
         return expit(eta)
-
-    def mean_deriv(self, eta):
-        mu = expit(eta)
-        return mu * (1.0 - mu)
 
     def variance(self, mu):
         return mu * (1.0 - mu)
@@ -178,9 +160,6 @@ class PoissonFamily(GlmFamily):
         return np.exp(theta)
 
     def mean(self, eta):
-        return np.exp(eta)
-
-    def mean_deriv(self, eta):
         return np.exp(eta)
 
     def variance(self, mu):
@@ -222,8 +201,8 @@ def get_family(name):
 def log_likelihood(family, y, eta, phi=1.0):
     """Exponential-family log-likelihood at linear predictor ``eta``.
 
-    ``sum_i (y_i * theta_i - b(theta_i)) / a(phi) + sum_i c(y_i, phi)``
-    with ``theta = eta`` (canonical link).
+    ``sum_i (y_i * eta_i - b(eta_i)) / a(phi) + sum_i c(y_i, phi)``: the
+    link is canonical, so the natural parameter is ``eta``.
     """
     family = get_family(family)
     y = np.asarray(y, dtype=np.float64)
@@ -232,9 +211,8 @@ def log_likelihood(family, y, eta, phi=1.0):
         raise DomainError(f"y has shape {y.shape}, eta has shape {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise DomainError("nonfinite linear predictor")
-    theta = family.theta(eta)
     with np.errstate(over="ignore"):
-        core = (y * theta - family.b(theta)) / family.a_phi(phi)
+        core = (y * eta - family.b(eta)) / family.a_phi(phi)
     return float(np.sum(core) + np.sum(family.c(y, phi)))
 
 

@@ -45,7 +45,6 @@ from .tensor_core import (
     cp_to_full,
     factor_chain_omitting,
     khatri_rao_chain,
-    mode_d_matricize,
     mode_dd_matricize,
     stack_vec,
 )
@@ -761,17 +760,13 @@ def select_rank(dataset, family, max_rank, config):
 def eta_gradient(coeff, x):
     """Gradient of ``eta = <B, x>`` in all CP entries, stacked by mode.
 
-    Block d is ``vec(X_(d) W_d)`` (column-major), the same layout as the
-    rows of :func:`build_block_design`.
+    Block d is ``vec(X_(d) W_d)`` (column-major): the row of the one-sample
+    :func:`build_block_design` for mode d.
     """
-    if coeff.dims != x.dims:
-        raise DomainError(f"dims {coeff.dims} vs {x.dims}")
-    blocks = []
-    for d in range(1, coeff.ndim + 1):
-        xd = mode_d_matricize(x, d)
-        chain = factor_chain_omitting(coeff.factors, d)
-        blocks.append((xd @ chain).ravel(order="F"))
-    return np.concatenate(blocks)
+    one = TensorGlmDataset(np.zeros(1), [x])
+    return np.concatenate(
+        [build_block_design(one, coeff, d)[0] for d in range(1, coeff.ndim + 1)]
+    )
 
 
 def eta_hessian(coeff, x):
@@ -812,19 +807,15 @@ def free_parameter_index(dims, rank):
     :func:`eta_gradient`.
     """
     D = len(dims)
-    keep = []
-    index_map = {}
-    pos = 0
-    for d in range(1, D + 1):
-        p = dims[d - 1]
-        for r in range(1, rank + 1):
-            for i in range(1, p + 1):
-                fixed = d < D and i == 1
-                keep.append(not fixed)
-                if not fixed:
-                    index_map[(d, i, r)] = pos
-                    pos += 1
-    return index_map, np.asarray(keep, dtype=bool)
+    coords = [
+        (d, i, r)
+        for d, p in enumerate(dims, start=1)
+        for r in range(1, rank + 1)
+        for i in range(1, p + 1)
+    ]
+    keep = np.array([d == D or i > 1 for d, i, _ in coords], dtype=bool)
+    free = itertools.compress(coords, keep)
+    return {c: pos for pos, c in enumerate(free)}, keep
 
 
 @dataclass
@@ -846,36 +837,46 @@ class InferenceReport:
     gamma_positions: np.ndarray
 
 
-def _inference_gradients(model, dataset):
-    """Per-sample gradient of eta in (free CP entries, alpha, gamma)."""
-    coeff = model.coeff
-    blocks = [
-        build_block_design(dataset, coeff, d) for d in range(1, dataset.ndim + 1)
-    ]
-    full = np.hstack(blocks)
-    _, keep = free_parameter_index(coeff.dims, coeff.rank)
-    return np.hstack([full[:, keep], np.ones((dataset.n, 1)), dataset.z])
+def _eta_derivatives(model, dataset):
+    """``(G, w, r)``: the eta gradients and log-likelihood weights at ``model``.
 
-
-def _weights(model, dataset):
-    eta = model.linear_predictor(dataset)
-    mu = model.family.mean(eta)
-    mud = model.family.mean_deriv(eta)
-    sigma2 = model.family.a_phi(model.phi) * model.family.variance(mu)
-    return eta, mu, mud, sigma2
+    Row i of ``G`` is the gradient of ``eta_i`` in (free CP entries, alpha,
+    gamma), filled mode by mode from :func:`build_block_design`.  With a
+    canonical link, ``d loglik_i / d eta_i = r_i = (y_i - mu_i) / a(phi)``
+    and ``d^2 loglik_i / d eta_i^2 = -w_i = -V(mu_i) / a(phi)``.
+    """
+    coeff, n = model.coeff, dataset.n
+    R = coeff.rank
+    _, keep = free_parameter_index(coeff.dims, R)
+    nfree = int(keep.sum())
+    G = np.empty((n, nfree + 1 + dataset.p0))
+    work = np.empty(n * R * max(coeff.dims))
+    col = at = 0
+    for d, p in enumerate(coeff.dims, start=1):
+        keep_d = keep[at : at + p * R]
+        width = int(keep_d.sum())
+        design = build_block_design(dataset, coeff, d, out=work)
+        G[:, col : col + width] = design[:, keep_d]
+        col, at = col + width, at + p * R
+    G[:, nfree] = 1.0
+    G[:, nfree + 1 :] = dataset.z
+    fam = model.family
+    a_phi = fam.a_phi(model.phi)
+    mu = model.predict_mean(dataset)
+    return G, fam.variance(mu) / a_phi, (dataset.y - mu) / a_phi
 
 
 def score_and_information(model, dataset):
     """Score vector and Fisher information over the free parametrization.
 
-    The information is the per-sample outer-product form summed over the
-    sample, so standard errors are square roots of the diagonal of its
-    inverse directly.
+    With the eta gradients ``G`` and weights of :func:`_eta_derivatives`,
+    the score is ``G'r`` and the information ``G'WG``: the per-sample
+    outer-product form summed over the sample, so standard errors are
+    square roots of the diagonal of its inverse directly.
     """
-    G = _inference_gradients(model, dataset)
-    _, mu, mud, sigma2 = _weights(model, dataset)
-    score = G.T @ ((dataset.y - mu) * mud / sigma2)
-    info = (G * (mud**2 / sigma2)[:, None]).T @ G
+    G, w, r = _eta_derivatives(model, dataset)
+    score = G.T @ r
+    info = (G * w[:, None]).T @ G
     dim = info.shape[0]
     if not np.all(np.isfinite(info)):
         raise InferenceError("Fisher information has nonfinite entries")
@@ -905,32 +906,19 @@ def score_and_information(model, dataset):
 def log_density_hessian(model, dataset):
     """Hessian of the log-likelihood over the free parametrization.
 
-    Sum over samples of ``(d^2 loglik / d eta^2) g g'`` plus the
-    score-weighted curvature of eta.  The per-observation eta derivatives
-    are ``d loglik/d eta = (y - mu) theta'(eta) / a(phi)`` and
-    ``d^2 loglik/d eta^2 = (-V(mu) theta'(eta)^2 + (y - mu) theta''(eta))
-    / a(phi)``; with the canonical links used here the theta'' term
-    vanishes identically and the leading weight equals ``-mu'(eta)^2 /
-    (a(phi) V(mu))``.
+    Minus the Fisher information ``G'WG`` of :func:`score_and_information`
+    plus the score-weighted curvature of eta, ``sum_i r_i d^2 eta_i``, on
+    the free CP block (see :func:`_eta_derivatives` for ``G``, ``w`` and
+    ``r``).
     """
-    G = _inference_gradients(model, dataset)
-    eta, mu, mud, sigma2 = _weights(model, dataset)
-    fam = model.family
-    a_phi = fam.a_phi(model.phi)
-    resid = dataset.y - mu
-    tp = fam.theta_prime(eta)
-    w_outer = (-fam.variance(mu) * tp**2 + resid * fam.theta_second(eta)) / a_phi
-    H = (G * w_outer[:, None]).T @ G
+    G, w, r = _eta_derivatives(model, dataset)
+    H = (G * -w[:, None]).T @ G
     # The eta-curvature term is linear in x, so the weighted sample sum
     # collapses into one Hessian evaluation at the weighted covariate sum.
-    w_curv = resid * tp / a_phi
-    xw = DenseTensor(
-        model.dims, w_curv @ dataset.x_matrix()
-    )
+    xw = DenseTensor(model.dims, r @ dataset.x_matrix())
     _, keep = free_parameter_index(model.dims, model.rank)
-    curv = eta_hessian(model.coeff, xw)[np.ix_(keep, keep)]
     nfree = int(keep.sum())
-    H[:nfree, :nfree] += curv
+    H[:nfree, :nfree] += eta_hessian(model.coeff, xw)[np.ix_(keep, keep)]
     return H
 
 
@@ -1035,30 +1023,47 @@ def model_to_document(model):
 
 
 def model_from_document(doc):
-    """Rebuild a model from :func:`model_to_document` output."""
-    if doc.get("format") != _DOC_FORMAT:
+    """Rebuild a model from :func:`model_to_document` output.
+
+    Raises DomainError naming the field that is missing, not numeric, or
+    inconsistent with the factors or ``p0``.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != _DOC_FORMAT:
         raise DomainError(f"not a {_DOC_FORMAT} document")
     if doc.get("version") != _DOC_VERSION:
         raise DomainError(f"unsupported document version {doc.get('version')!r}")
-    factors = [np.asarray(f, dtype=np.float64) for f in doc["factors"]]
+
+    def field(key, convert=float):
+        if key not in doc:
+            raise DomainError(f"model document has no {key!r} field")
+        try:
+            return convert(doc[key])
+        except (KeyError, TypeError, ValueError) as err:
+            raise DomainError(f"model document field {key!r}: {err}") from None
+
+    factors = field("factors", lambda fs: [np.asarray(f, np.float64) for f in fs])
     coeff = CpTensor(factors)
-    if tuple(doc["dims"]) != coeff.dims or doc["rank"] != coeff.rank:
+    if field("dims", tuple) != coeff.dims or field("rank", int) != coeff.rank:
         raise DomainError("document dims/rank do not match its factors")
-    penalty = doc.get("penalty")
+    p0 = field("p0", int)
+    gamma = field("gamma", lambda v: np.asarray(v, dtype=np.float64))
+    if gamma.shape != (p0,):
+        raise DomainError(f"model document fields 'gamma' and 'p0' disagree: gamma "
+                          f"has shape {gamma.shape}, p0 is {p0}")
     return TensorGlmModel(
-        alpha=float(doc["alpha"]),
-        gamma=np.asarray(doc["gamma"], dtype=np.float64),
+        alpha=field("alpha"),
+        gamma=gamma,
         coeff=coeff,
-        family=get_family(doc["family"]),
-        phi=float(doc["phi"]),
-        loglik=float(doc["loglik"]),
-        bic=float(doc["bic"]),
-        trace=list(doc["trace"]),
-        converged=bool(doc["converged"]),
-        restarts_used=int(doc["restarts_used"]),
-        n=int(doc["n"]),
-        p0=int(doc["p0"]),
-        penalty=PenaltySpec.from_dict(penalty) if penalty else None,
+        family=field("family", lambda v: get_family(str(v))),
+        phi=field("phi"),
+        loglik=field("loglik"),
+        bic=field("bic"),
+        trace=field("trace", lambda v: [float(t) for t in v]),
+        converged=field("converged", bool),
+        restarts_used=field("restarts_used", int),
+        n=field("n", int),
+        p0=p0,
+        penalty=field("penalty", PenaltySpec.from_dict) if doc.get("penalty") else None,
     )
 
 

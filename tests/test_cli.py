@@ -204,6 +204,16 @@ class TestCliSimulate:
         for name in ("x.tnsr", "response.csv", "covariates.csv", "signal.tnsr"):
             assert (out2 / name).read_bytes() == (sim_dir / name).read_bytes()
 
+    def test_negative_gamma_dim_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(
+            ["simulate", "--shape", "square", "--size", 16, "--n", 50,
+             "--gamma-dim", -1, "--output-dir", tmp_path]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--gamma-dim" in err
+        assert not (tmp_path / "x.tnsr").exists()
+
     def test_write_path_allocates_less_than_the_payload(self, tmp_path, monkeypatch):
         import tracemalloc
 
@@ -246,6 +256,16 @@ class TestCliBenchmark:
         assert lines[0] == "shape,n,param,mean_rmse,sd_rmse,rank_selected_mode"
         assert len(lines) == 1 + 4  # 2 sizes x 2 parameter groups
 
+    def test_negative_gamma_dim_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(
+            ["benchmark", "--shape", "square", "--dims", 16, "--sizes", "100",
+             "--rank", 1, "--gamma-dim", -1, "--output", tmp_path / "s.csv"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--gamma-dim" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_rank_flags_mutually_exclusive(self, tmp_path):
         rc = run_cli(
             ["benchmark", "--shape", "square", "--sizes", "100", "--rank", 1,
@@ -268,6 +288,35 @@ class TestCliRankSelect:
         assert len(table) == 3
         model = load_model(outdir / "model.json")
         assert model.rank == 1  # square signal
+
+
+@pytest.mark.parametrize("command", ["fit", "rank-select"])
+class TestCliRho:
+    def run(self, command, sim_dir, outdir, *flags):
+        return run_cli(
+            [command, "--tensors", sim_dir / "x.tnsr", "--response",
+             sim_dir / "response.csv", "--restarts", 1, "--output-dir", outdir,
+             *flags]
+        )
+
+    def test_negative_rho_is_usage_error(self, command, sim_dir, tmp_path, capsys):
+        rc = self.run(command, sim_dir, tmp_path, "--penalty", "lasso", "--rho", -1)
+        assert rc == 1
+        assert "--rho" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_rho_without_penalty_is_input_error(self, command, sim_dir, tmp_path,
+                                                 capsys):
+        rc = self.run(command, sim_dir, tmp_path, "--rho", 5)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--rho" in err and "--penalty" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_zero_rho_means_no_penalty(self, command, sim_dir, tmp_path):
+        rc = self.run(command, sim_dir, tmp_path, "--penalty", "lasso", "--rho", 0)
+        assert rc == 0
+        assert load_model(tmp_path / "model.json").penalty is None
 
 
 class TestCliExitCodes:

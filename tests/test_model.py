@@ -762,6 +762,30 @@ class TestInference:
         assert (2, 1, 1) in index_map  # last mode keeps its first row
         assert keep.sum() == len(index_map)
 
+    @pytest.mark.parametrize("func", [score_and_information, log_density_hessian])
+    def test_peak_memory_below_three_gradient_matrices(self, func):
+        import tracemalloc
+
+        rng = np.random.default_rng(33)
+        dims, rank, p0, n = (3, 32, 24), 2, 2, 400
+        model = make_model(
+            normalized_point(rng, dims, rank), gamma=(0.3, -0.2), n=n
+        )
+        ds = random_dataset(rng, n, dims, p0=p0)
+        ds = TensorGlmDataset(
+            model.linear_predictor(ds) + rng.standard_normal(n), ds.x, ds.z
+        )
+        # G: one row per sample, one column per free parameter
+        nfree = len(free_parameter_index(dims, rank)[0])
+        g_bytes = n * (nfree + 1 + p0) * 8
+        tracemalloc.start()
+        try:
+            func(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * g_bytes, peak / g_bytes
+
 
 # ---------------------------------------------------------------------------
 # k-rank / uniqueness
@@ -867,6 +891,25 @@ class TestModelDocument:
         }
         with pytest.raises(DomainError):
             model_from_document(doc)
+        # a missing field, a non-numeric entry, or a gamma of the wrong length
+        # raises DomainError naming the field
+        rng = np.random.default_rng(34)
+        good = model_to_document(
+            make_model(random_cp(rng, (3, 4), 1), gamma=(0.5, -1.0), n=20)
+        )
+        bad_values = [
+            ("alpha", None), ("alpha", "high"), ("phi", [1.0]), ("n", "many"),
+            ("trace", [0.0, "x"]), ("factors", [[[1.0, 2.0], [3.0]], [1.0]]),
+            ("family", 5), ("gamma", ["a"]), ("gamma", [1.0, 2.0, 3.0]),
+            ("gamma", [1.0]), ("p0", 3),
+        ]
+        for key, value in bad_values:
+            doc = dict(good, **{key: value})
+            with pytest.raises(DomainError, match=repr(key)):
+                model_from_document(doc)
+            del doc[key]
+            with pytest.raises(DomainError, match=f"no {key!r} field"):
+                model_from_document(doc)
 
 
 class TestPenalizedBlockUpdate:
