@@ -47,12 +47,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low, convert=int):
-    """argparse type: ``convert(value)``, rejected below ``low`` (or NaN)."""
+    """argparse type: ``convert(value)``, rejected below ``low``, NaN or
+    infinite."""
 
     def parse(value):
         v = convert(value)
         if not v >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if v == float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return v
 
     parse.__name__ = convert.__name__  # argparse names the type in its messages

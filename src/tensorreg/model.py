@@ -13,6 +13,7 @@ inference for the free parametrization.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -75,8 +76,8 @@ __all__ = [
 
 
 def max_workers():
-    """Worker cap (TENSORREG_THREADS) for per-start block solves and study
-    replicates."""
+    """Worker cap (TENSORREG_THREADS) for the stacked block-design
+    contraction, per-start block solves and study replicates."""
     value = os.environ.get("TENSORREG_THREADS", "1")
     try:
         return max(1, int(value))
@@ -302,7 +303,7 @@ def bic_from_loglik(loglik, n, p_e):
 _BLOCK_ENTRIES = 2**15
 
 
-def build_block_design(dataset, coeff, d, *, out=None):
+def build_block_design(dataset, coeff, d, *, out=None, run=_run_inline, parts=1):
     """Design matrix for the mode-d factor update.
 
     Row i is ``vec(X_{i(d)} W_d)`` where ``W_d`` is the Khatri-Rao chain
@@ -321,6 +322,12 @@ def build_block_design(dataset, coeff, d, *, out=None):
 
     ``out``, a float64 vector of at least ``n * R * p_d`` entries, receives
     the design in its head, and the result is a view of it.
+
+    The rows are built as ``parts`` independent contiguous ranges, handed
+    as tasks to ``run(tasks)`` (by default, one after another on the
+    calling thread; :func:`_worker_pool` yields one that spreads them over
+    threads).  Every row is the same per-sample product whatever the
+    ranges, so the design does not depend on ``run`` or ``parts``.
     """
     if coeff.dims != dataset.dims:
         raise DomainError(
@@ -335,22 +342,37 @@ def build_block_design(dataset, coeff, d, *, out=None):
     x = dataset.x_matrix()
     out = np.empty((n, R, p)) if out is None else out[: n * R * p].reshape(n, R, p)
     if d == 1:
-        upper = factor_chain_omitting(coeff.factors, 1)  # (H, R)
-        np.matmul(upper.T, x.reshape(n, H, p), out=out)
+        upper_t = factor_chain_omitting(coeff.factors, 1).T  # (R, H)
+
+        def rows(s, e):
+            np.matmul(upper_t, x[s:e].reshape(e - s, H, p), out=out[s:e])
+
     elif d == D:
-        lower = factor_chain_omitting(coeff.factors, D)  # (L, R)
-        np.matmul(lower.T, x.reshape(n, p, L).transpose(0, 2, 1), out=out)
+        # a C-ordered chain: with the transposed view, numpy's per-sample
+        # GEMM took 1.1-2.6x as long at one BLAS thread
+        lower_t = np.ascontiguousarray(factor_chain_omitting(coeff.factors, D).T)
+
+        def rows(s, e):
+            np.matmul(lower_t, x[s:e].reshape(e - s, p, L).transpose(0, 2, 1),
+                      out=out[s:e])
+
     else:
         upper_t = factor_chain_omitting(coeff.factors, range(1, d + 1)).T  # (R, H)
         lower = factor_chain_omitting(coeff.factors, range(d, D + 1))  # (L, R)
         lower_cols = lower.T[:, :, None]  # (R, L, 1)
-        rows = max(1, min(n * H // (8 * R), _BLOCK_ENTRIES // (R * p * L)))
-        buf = np.empty((min(rows, n), R, p * L))
-        for s in range(0, n, rows):
-            m = min(rows, n - s)
-            np.matmul(upper_t, x[s : s + m].reshape(m, H, p * L), out=buf[:m])
-            np.matmul(buf[:m].reshape(m, R, p, L), lower_cols,
-                      out=out[s : s + m, :, :, None])
+        block = max(1, min(n * H // (8 * R), _BLOCK_ENTRIES // (R * p * L)))
+
+        def rows(s, e):
+            buf = np.empty((min(block, e - s), R, p * L))
+            for a in range(s, e, block):
+                m = min(block, e - a)
+                np.matmul(upper_t, x[a : a + m].reshape(m, H, p * L), out=buf[:m])
+                np.matmul(buf[:m].reshape(m, R, p, L), lower_cols,
+                          out=out[a : a + m, :, :, None])
+
+    parts = max(1, min(parts, n))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    run([functools.partial(rows, s, e) for s, e in zip(bounds, bounds[1:])])
     return out.reshape(n, R * p)
 
 
@@ -436,6 +458,14 @@ class _Start:
 # and 0.72-0.92x as long from 8.2e6 on.
 _SPREAD_SOLVE_SIZE = 2**22
 
+# The stacked block design is built in TENSORREG_THREADS row ranges on the
+# worker threads only when n * prod(dims) * R (R summed over the running
+# starts) is at least this.  With one BLAS thread, two threads built 64x64
+# designs (n=1000, R=2-10, 8.2e6-4.1e7) in 0.6-0.97x the time of one, but
+# took 1.1-1.9x as long below 5e6 (2D and 3D), where the handoff outweighs
+# the contraction; 16^3 designs at n=500 gained little up to 1.2e7.
+_SPREAD_DESIGN_SIZE = 2**23
+
 
 def _fit_lockstep(dataset, family, starts):
     """Block relaxation from every start of ``starts`` at once.
@@ -443,11 +473,12 @@ def _fit_lockstep(dataset, family, starts):
     ``starts`` holds ``(config, rng, init_factors)`` triples, whose ranks
     may differ.  In each cycle and mode the factors of the starts still
     running are stacked column-wise into one CpTensor, so one
-    :func:`build_block_design` call reads the payload for all of them;
-    each start then solves its block on its own column slice, the starts
-    spread over the ``TENSORREG_THREADS`` workers when the blocks are
-    large enough to gain from threads.  A start leaves the stack when it
-    converges, reaches its ``max_outer_iters`` or raises a
+    :func:`build_block_design` call reads the payload for all of them,
+    its row ranges spread over the ``TENSORREG_THREADS`` workers when the
+    contraction is large enough to gain from threads; each start then
+    solves its block on its own column slice, the starts spread over the
+    same workers when the blocks are large enough.  A start leaves the
+    stack when it converges, reaches its ``max_outer_iters`` or raises a
     TensorRegError, which it keeps in ``error``.
 
     Returns one :class:`_Start` per start, in order.
@@ -546,7 +577,8 @@ def _fit_lockstep(dataset, family, starts):
     # mode and cycle would be mapped and page-faulted anew each time once
     # it passes malloc's mmap threshold
     work = np.empty(n * max(dims) * sum(run.config.rank for run in runs))
-    with _worker_pool(max_workers()) as run_tasks:
+    workers = max_workers()
+    with _worker_pool(workers) as run_tasks:
         while running:
             for d in range(1, D + 1):
                 if not running:
@@ -554,7 +586,10 @@ def _fit_lockstep(dataset, family, starts):
                 stacked = CpTensor(
                     [np.hstack([run.factors[k] for run in running]) for k in range(D)]
                 )
-                design = build_block_design(dataset, stacked, d, out=work)
+                spread = n * math.prod(dims) * stacked.rank >= _SPREAD_DESIGN_SIZE
+                design = build_block_design(dataset, stacked, d, out=work,
+                                            run=run_tasks,
+                                            parts=workers if spread else 1)
                 tasks, end = [], 0
                 for run in running:  # each start's columns, in stacking order
                     start, end = end, end + dims[d - 1] * run.config.rank

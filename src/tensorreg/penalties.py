@@ -58,10 +58,10 @@ class PenaltySpec:
             raise DomainError(f"power penalty needs lam in (0, 2], got {lam}")
         if family == "elastic_net" and not 1.0 <= lam <= 2.0:
             raise DomainError(f"elastic net needs lam in [1, 2], got {lam}")
-        if family == "scad" and not lam > 2.0:
-            raise DomainError(f"scad needs lam > 2, got {lam}")
-        if self.rho < 0:
-            raise DomainError(f"rho must be nonnegative, got {self.rho}")
+        if family == "scad" and not 2.0 < lam < np.inf:
+            raise DomainError(f"scad needs a finite lam > 2, got {lam}")
+        if not 0.0 <= self.rho < np.inf:  # also catches NaN
+            raise DomainError(f"rho must be finite and nonnegative, got {self.rho}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "lam", lam)

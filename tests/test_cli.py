@@ -305,6 +305,15 @@ class TestCliRho:
         assert "--rho" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_nonfinite_rho_is_usage_error(self, command, sim_dir, tmp_path, capsys,
+                                          rho):
+        rc = self.run(command, sim_dir, tmp_path, "--penalty", "lasso", "--rho", rho)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--rho" in err and rho in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_rho_without_penalty_is_input_error(self, command, sim_dir, tmp_path,
                                                  capsys):
         rc = self.run(command, sim_dir, tmp_path, "--rho", 5)

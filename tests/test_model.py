@@ -229,6 +229,37 @@ class TestBuildBlockDesign:
             assert np.shares_memory(got, work)
             assert np.array_equal(got, build_block_design(ds, coeff, d))
 
+    @pytest.mark.parametrize("n,parts", [(53, 2), (53, 3), (2, 3)])
+    @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4)])
+    def test_rows_spread_over_threads_equal_the_inline_build(self, dims, n, parts):
+        import threading
+
+        from tensorreg.model import _worker_pool
+
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, n, dims)
+        coeff = random_cp(rng, dims, 2)
+        names = set()
+
+        def recording(task):
+            def call():
+                names.add(threading.current_thread().name)
+                return task()
+
+            return call
+
+        with _worker_pool(2) as run:
+
+            def spread(tasks):
+                return run([recording(t) for t in tasks])
+
+            for d in range(1, len(dims) + 1):
+                # with n = 53 the middle mode of (6, 5, 4) contracts rows in
+                # blocks of 53 * 4 // (8 * 2) = 13, several per range
+                got = build_block_design(ds, coeff, d, run=spread, parts=parts)
+                assert np.array_equal(got, build_block_design(ds, coeff, d))
+        assert any(name.startswith("tensorreg-worker") for name in names)
+
 
 class TestDatasetLayouts:
     def test_x_matrix_rows_are_vec(self):
@@ -1050,16 +1081,31 @@ class TestWorkerParallelism:
         from tensorreg import model as model_module
 
         inner = model_module.irls_fit
-        names = set()
+        inner_design = model_module.build_block_design
+        names, design_names = set(), set()
 
         def recording_block_solve(*args, **kwargs):
             names.add(threading.current_thread().name)
             return inner(*args, **kwargs)
 
+        def recording_design(*args, run, **kwargs):
+            def record(task):
+                def call():
+                    design_names.add(threading.current_thread().name)
+                    return task()
+
+                return call
+
+            return inner_design(
+                *args, run=lambda tasks: run([record(t) for t in tasks]), **kwargs
+            )
+
         monkeypatch.setattr(model_module, "irls_fit", recording_block_solve)
-        # mode-1 blocks large enough to go to the workers
+        monkeypatch.setattr(model_module, "build_block_design", recording_design)
+        # mode-1 blocks large enough to go to the workers, and a stacked
+        # contraction of 5 starts over the design gate, n * 1536 * 10 >= 2**23
         rng = np.random.default_rng(44)
-        normal = simulate_normal(rng, 600, random_cp(rng, (60, 5), 2), gamma=[1.0])
+        normal = simulate_normal(rng, 600, random_cp(rng, (64, 24), 2), gamma=[1.0])
         x = rng.standard_normal((600, 40, 4, 3))
         fam = get_family("bernoulli")
         eta = np.tensordot(x, cp_to_full(random_cp(rng, (40, 4, 3), 1)).to_array(), 3)
@@ -1068,13 +1114,15 @@ class TestWorkerParallelism:
         for threads in ("1", "2"):
             monkeypatch.setenv("TENSORREG_THREADS", threads)
             names.clear()
+            design_names.clear()
             model = fit(normal, "normal", FitConfig(rank=2, restarts=5, seed=3))
             best, table = select_rank(
                 binary, fam, 3, FitConfig(restarts=2, seed=4, max_outer_iters=40)
             )
             runs[threads] = (model, best, table)
-            on_workers = any(name.startswith("tensorreg-worker") for name in names)
-            assert on_workers == (threads == "2")
+            for seen in (names, design_names):
+                on_workers = any(name.startswith("tensorreg-worker") for name in seen)
+                assert on_workers == (threads == "2")
         for a, b in zip(runs["1"][:2], runs["2"][:2]):
             for fa, fb in zip(a.coeff.factors, b.coeff.factors):
                 np.testing.assert_array_equal(fa, fb)

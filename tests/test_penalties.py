@@ -72,6 +72,16 @@ class TestPenaltySpec:
         with pytest.raises(DomainError):
             PenaltySpec("lasso", -1.0)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    @pytest.mark.parametrize("family", ["lasso", "elastic_net", "scad"])
+    def test_nonfinite_rho_rejected(self, family, rho):
+        with pytest.raises(DomainError, match="rho must be finite"):
+            PenaltySpec(family, rho)
+
+    def test_infinite_scad_lambda_rejected(self):
+        with pytest.raises(DomainError, match="finite lam"):
+            PenaltySpec("scad", 1.0, np.inf)
+
 
 class TestPenaltyValue:
     def test_lasso(self):
