@@ -39,7 +39,6 @@ from .model import (
     model_from_document,
     model_to_document,
     normalize_identifiability,
-    raw_parameter_count,
     save_model,
     score_and_information,
     select_rank,
@@ -59,16 +58,10 @@ from .shapes import (
 from .tensor_core import (
     CpTensor,
     DenseTensor,
-    cp_mode_d_unfolding,
     cp_to_full,
-    inner,
     khatri_rao,
     khatri_rao_chain,
-    kronecker,
-    mode_d_matricize,
     mode_dd_matricize,
-    outer_product,
-    vec_index,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .model import (
     bic_from_loglik,
     effective_parameters,
     fit,
-    model_from_document,
+    load_model,
     save_model,
     select_rank,
 )
@@ -88,7 +88,7 @@ def _add_fit_options(p, with_rank=True):
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-outer-iters", type=_positive_int, default=500)
     p.add_argument("--restarts", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output-dir", required=True)
 
 
@@ -108,7 +108,7 @@ def build_parser():
                        choices=["normal", "bernoulli", "poisson"])
     p_sim.add_argument("--n", type=_positive_int, required=True)
     p_sim.add_argument("--gamma-dim", type=_nonnegative_int, default=5)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--output-dir", required=True)
 
     p_bench = sub.add_parser("benchmark",
@@ -129,7 +129,7 @@ def build_parser():
     p_bench.add_argument("--epsilon", type=float)
     p_bench.add_argument("--max-outer-iters", type=_positive_int, default=500)
     p_bench.add_argument("--restarts", type=_positive_int, default=2)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_nonnegative_int, default=0)
     p_bench.add_argument("--output", required=True, help="study CSV path")
 
     p_rank = sub.add_parser("rank-select",
@@ -278,9 +278,7 @@ def cmd_rank_select(args):
 
 
 def cmd_inspect(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = model_from_document(doc)
+    model = load_model(args.model)
     p_e = effective_parameters(model.dims, model.rank, model.p0)
     recomputed = bic_from_loglik(model.loglik, model.n, p_e)
     print(f"family: {model.family.name}")

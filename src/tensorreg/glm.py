@@ -29,6 +29,10 @@ _MIN_WEIGHT = 1e-10
 # Cholesky pivots below this share of the largest one send a weighted least
 # squares step to the SVD solve, which determines the numerical rank.
 _PIVOT_RATIO = 1e-6
+# Caps on the coordinate-descent sweeps of one penalized quadratic step and
+# on the starting points a nonconvex penalty's block solve is tried from.
+_MAX_SWEEPS = 1000
+_NONCONVEX_STARTS = 3
 
 
 def expit(x):
@@ -482,7 +486,7 @@ def _exact_finish(G, cvec, signs, penalized, spec, tol):
 
 def penalized_fit(design, y, family, offset=None, penalty=None,
                   unpenalized_mask=None, *, warm_start=None, tol=1e-9,
-                  max_iter=100, max_sweeps=1000, restarts=3):
+                  max_iter=100):
     """Penalized GLM fit by coordinate descent on the IRLS quadratic.
 
     Maximizes ``loglik - sum_j P(|beta_j|)`` over the penalized
@@ -492,8 +496,8 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
     ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`
     with coordinate descent as the quadratic step, and step-halving keeps
     the penalized objective nondecreasing.  Nonconvex penalties (power
-    with lam < 1, SCAD) are solved from up to ``restarts`` deterministic
-    starting points and the best objective wins.
+    with lam < 1, SCAD) are solved from up to ``_NONCONVEX_STARTS``
+    deterministic starting points and the best objective wins.
     """
     family = get_family(family)
     X, y, offset = _as_problem(design, y, offset)
@@ -529,14 +533,14 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
             pass
         if warm_start is not None:
             starts.append(0.5 * starts[0])
-        starts = starts[:restarts] if restarts >= 1 else starts[:1]
+        starts = starts[:_NONCONVEX_STARTS]
     else:
         # Convex objective: any start reaches the unique optimum.
         starts = starts[:1]
 
     def solve(X, w, z, beta, first):
         return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalized, penalty,
-                                tol=1e-12, max_sweeps=max_sweeps)
+                                tol=1e-12, max_sweeps=_MAX_SWEEPS)
 
     def cost(beta):
         return float(np.sum(penalty_value(penalty, beta[penalized])))

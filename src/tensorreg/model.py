@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import threading
 import warnings
@@ -60,7 +61,6 @@ __all__ = [
     "fit",
     "normalize_identifiability",
     "effective_parameters",
-    "raw_parameter_count",
     "bic",
     "select_rank",
     "eta_gradient",
@@ -118,13 +118,6 @@ def _worker_pool(workers):
             return [f.result() for f in futures]
 
         yield run
-
-
-def _run_indexed(tasks, workers):
-    """Run ``tasks`` (callables) on a :func:`_worker_pool`; results in task
-    order."""
-    with _worker_pool(workers) as run:
-        return run(tasks)
 
 
 def _require_finite_tensors(vecs, dims):
@@ -193,6 +186,8 @@ class TensorGlmDataset:
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 1:
             z = z[:, None]
+        if z.ndim != 2:
+            raise DomainError(f"z must be an (n, p0) matrix, got shape {z.shape}")
         if z.shape[0] != n:
             raise DomainError(f"z has {z.shape[0]} rows for {n} responses")
         self.y = y
@@ -223,6 +218,16 @@ class TensorGlmDataset:
         return self._vecs
 
 
+def _require_int(name, value, low):
+    """Raise DomainError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    try:
+        ok = operator.index(value) >= low
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if not ok:
+        raise DomainError(f"{name} must be >= {low}, got {value!r}")
+
+
 @dataclass
 class FitConfig:
     """Knobs for the alternating fit.
@@ -239,14 +244,12 @@ class FitConfig:
     penalty: PenaltySpec | None = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise DomainError(f"rank must be >= 1, got {self.rank}")
+        _require_int("rank", self.rank, 1)
         if self.epsilon is not None and not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
-        if self.max_outer_iters < 1:
-            raise DomainError("max_outer_iters must be >= 1")
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
+        _require_int("max_outer_iters", self.max_outer_iters, 1)
+        _require_int("restarts", self.restarts, 1)
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -285,8 +288,18 @@ class TensorGlmModel:
         return self.family.mean(self.linear_predictor(dataset))
 
 
+def _require_matching_data(dataset, dims, p0):
+    """Raise DomainError unless ``dataset`` has the model's tensor dims and p0."""
+    if dataset.dims != dims or dataset.p0 != p0:
+        raise DomainError(
+            f"the model has dims {dims} and p0={p0}, the dataset dims "
+            f"{dataset.dims} and p0={dataset.p0}"
+        )
+
+
 def _linear_predictor(dataset, alpha, gamma, coeff):
     """``eta_i = alpha + gamma'z_i + <B, x_i>`` for every sample."""
+    _require_matching_data(dataset, coeff.dims, gamma.size)
     eta = np.full(dataset.n, alpha)
     if gamma.size:
         eta = eta + dataset.z @ gamma
@@ -390,11 +403,6 @@ def effective_parameters(dims, rank, p0):
     else:
         tensor_part = R * (sum(dims) - D + 1)
     return int(p0) + 1 + tensor_part
-
-
-def raw_parameter_count(dims, rank, p0):
-    """Unadjusted count: intercept + covariates + all CP entries."""
-    return int(p0) + 1 + int(rank) * int(sum(dims))
 
 
 def _penalty_total(spec, factors):
@@ -739,8 +747,7 @@ def select_rank(dataset, family, max_rank, config):
     toward the smaller rank.  Ranks whose fit fails are recorded in the
     table and skipped.
     """
-    if max_rank < 1:
-        raise DomainError("max_rank must be >= 1")
+    _require_int("max_rank", max_rank, 1)
     # bad input is no per-rank failure: raise it instead of tabulating it
     family = get_family(family)
     _require_valid_fit_data(dataset, family)
@@ -880,6 +887,7 @@ def _eta_derivatives(model, dataset):
     canonical link, ``d loglik_i / d eta_i = r_i = (y_i - mu_i) / a(phi)``
     and ``d^2 loglik_i / d eta_i^2 = -w_i = -V(mu_i) / a(phi)``.
     """
+    _require_matching_data(dataset, model.dims, model.p0)
     coeff, n = model.coeff, dataset.n
     R = coeff.rank
     _, keep = free_parameter_index(coeff.dims, R)

@@ -18,7 +18,7 @@ from .errors import DomainError, TensorRegError
 from .glm import GlmFamily, get_family
 from .model import (
     TensorGlmDataset,
-    _run_indexed,
+    _worker_pool,
     fit,
     max_workers,
     select_rank,
@@ -301,7 +301,8 @@ def run_consistency_study(shape, n_grid, replicates, family, config, *,
 
             return task
 
-        results = _run_indexed([one(r) for r in range(replicates)], max_workers())
+        with _worker_pool(max_workers()) as run:
+            results = run([one(r) for r in range(replicates)])
         oks = sorted(r for r in results if r[0] == "ok")
         failures.extend((n, r[1], r[2]) for r in results if r[0] == "error")
         violations += sum(r[5] for r in oks)

@@ -22,16 +22,10 @@ from .errors import DimensionMismatchError, DomainError
 __all__ = [
     "DenseTensor",
     "CpTensor",
-    "vec_index",
-    "mode_d_matricize",
     "mode_dd_matricize",
-    "kronecker",
     "khatri_rao",
     "khatri_rao_chain",
-    "outer_product",
     "cp_to_full",
-    "cp_mode_d_unfolding",
-    "inner",
 ]
 
 
@@ -90,10 +84,6 @@ class DenseTensor:
     def to_array(self):
         """Return the tensor as a ``dims``-shaped numpy array."""
         return self.data.reshape(self.dims, order="F")
-
-    def __getitem__(self, multi_index):
-        """Entry at a 1-based multi-index ``(i_1, ..., i_D)``."""
-        return self.data[vec_index(self.dims, multi_index) - 1]
 
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
@@ -161,15 +151,15 @@ class CpTensor:
 def stack_vec(tensors):
     """Rows ``vec(x_i)`` of a stack of equal-dims tensors.
 
-    ``tensors`` is a list of DenseTensor or an array of shape
-    ``(n, p_1, ..., p_D)``.  Returns ``(dims, rows)`` with ``rows`` of
-    shape ``(n, prod(dims))``; an array that views vec-order rows, as
-    :func:`unstack_vec` returns, is not copied.
+    ``tensors`` is a list of DenseTensor or an array (or a list of
+    equal-shape arrays) of shape ``(n, p_1, ..., p_D)``.  Returns
+    ``(dims, rows)`` with ``rows`` of shape ``(n, prod(dims))``; an array
+    that views vec-order rows, as :func:`unstack_vec` returns, is not
+    copied.
     """
-    if isinstance(tensors, (list, tuple)):
-        if not tensors:
-            raise DomainError("empty tensor stack")
-        dims = tensors[0].dims
+    first = tensors[0] if isinstance(tensors, (list, tuple)) and tensors else None
+    if isinstance(first, DenseTensor):
+        dims = first.dims
         for t in tensors:
             if t.dims != dims:
                 raise DomainError(f"tensor dims differ: {t.dims} vs {dims}")
@@ -191,51 +181,17 @@ def unstack_vec(rows, dims):
     return stacked.transpose([0] + list(range(D, 0, -1)))
 
 
-def vec_index(dims, multi_index):
-    """Map a 1-based multi-index to its 1-based vec-order position.
-
-    ``j = 1 + sum_d (i_d - 1) * prod_{d' < d} p_{d'}``.
-    """
-    dims = tuple(int(p) for p in dims)
-    idx = tuple(int(i) for i in multi_index)
-    if len(idx) != len(dims):
-        raise DimensionMismatchError(
-            f"index has {len(idx)} components for {len(dims)} dims"
-        )
-    j = 1
-    stride = 1
-    for i, p in zip(idx, dims):
-        if not 1 <= i <= p:
-            raise DomainError(f"index {idx} out of range for dims {dims}")
-        j += (i - 1) * stride
-        stride *= p
-    return j
-
-
 def _check_mode(t, d):
     if not 1 <= d <= t.ndim:
         raise DomainError(f"mode {d} out of range for a {t.ndim}-way tensor")
-
-
-def mode_d_matricize(t, d):
-    """Mode-d matricization: a ``p_d x prod_{d' != d} p_{d'}`` matrix.
-
-    Entry ``(i_1, ..., i_D)`` of the tensor lands in row ``i_d``; the
-    column index runs over the remaining modes in their original order,
-    first remaining index fastest.
-    """
-    _check_mode(t, d)
-    arr = t.to_array()
-    rest = [k for k in range(t.ndim) if k != d - 1]
-    arr = arr.transpose([d - 1] + rest)
-    return arr.reshape(t.dims[d - 1], -1, order="F")
 
 
 def mode_dd_matricize(t, d, d2):
     """Mode-(d, d') matricization: ``p_d p_{d'} x prod_{d'' != d,d'} p_{d''}``.
 
     Row index for entry ``(i_1, ..., i_D)`` is ``i_d + (i_{d'} - 1) p_d``;
-    columns run over the remaining modes as in :func:`mode_d_matricize`.
+    columns run over the remaining modes in their original order, first
+    remaining index fastest.
     """
     _check_mode(t, d)
     _check_mode(t, d2)
@@ -245,13 +201,6 @@ def mode_dd_matricize(t, d, d2):
     rest = [k for k in range(t.ndim) if k not in (d - 1, d2 - 1)]
     arr = arr.transpose([d - 1, d2 - 1] + rest)
     return arr.reshape(t.dims[d - 1] * t.dims[d2 - 1], -1, order="F")
-
-
-def kronecker(a, b):
-    """Kronecker product of two matrices: the block matrix ``[a_ij * B]``."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    return np.kron(a, b)
 
 
 def khatri_rao(a, b):
@@ -298,38 +247,7 @@ def factor_chain_omitting(factors, omit):
     return khatri_rao_chain(chain)
 
 
-def outer_product(vectors):
-    """Outer product of D vectors: entries ``prod_d b_d[i_d]``."""
-    vs = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
-    if not vs:
-        raise DomainError("outer product of zero vectors")
-    for k, v in enumerate(vs, start=1):
-        if v.size == 0:
-            raise DomainError(f"vector {k} is empty")
-    out = vs[0]
-    for v in vs[1:]:
-        out = np.multiply.outer(out, v)
-    return DenseTensor.from_array(out)
-
-
 def cp_to_full(c):
     """Densify a CP tensor via ``vec B = (B_D (*) ... (*) B_1) 1_R``."""
     vec = factor_chain_omitting(c.factors, ()) @ np.ones(c.rank)
     return DenseTensor(c.dims, vec)
-
-
-def cp_mode_d_unfolding(c, d):
-    """Mode-d unfolding of a CP tensor without densifying it.
-
-    ``B_(d) = B_d (B_D (*) ... (*) B_{d+1} (*) B_{d-1} (*) ... (*) B_1)^T``.
-    """
-    if not 1 <= d <= c.ndim:
-        raise DomainError(f"mode {d} out of range for a {c.ndim}-way tensor")
-    return c.factors[d - 1] @ factor_chain_omitting(c.factors, d).T
-
-
-def inner(a, b):
-    """Inner product of two equal-dimension tensors: sum of entrywise products."""
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"dims {a.dims} vs {b.dims}")
-    return float(a.data @ b.data)

@@ -2,13 +2,12 @@
 
 Criterion 3 (monotone ascent across every fit the suite executes) is
 checked last against a registry fed by the other criteria.  Criterion 5
-is the opt-in publication-scale benchmark; enable it with
-``TENSORREG_RUN_FULLSCALE=1``.  Run with ``pytest tests/test_acceptance.py -s``
-to see the pass/fail lines.
+is the publication-scale spot check (64x64 images, n=1000, 20 replicates,
+a few seconds).  Run with ``pytest tests/test_acceptance.py -s`` to see
+the pass/fail lines.
 """
 
 import itertools
-import os
 import time
 
 import numpy as np
@@ -42,11 +41,11 @@ from tensorreg.shapes import (
 from tensorreg.tensor_core import (
     CpTensor,
     DenseTensor,
-    cp_mode_d_unfolding,
     cp_to_full,
     factor_chain_omitting,
-    mode_d_matricize,
 )
+
+from oracles import cp_mode_d_unfolding, mode_d_matricize
 
 from test_model import (
     fd_gradient,
@@ -202,11 +201,6 @@ def test_criterion_04_desk_scale_trend():
     )
 
 
-FULLSCALE = os.environ.get("TENSORREG_RUN_FULLSCALE") == "1"
-
-
-@pytest.mark.fullscale
-@pytest.mark.skipif(not FULLSCALE, reason="opt-in: set TENSORREG_RUN_FULLSCALE=1")
 def test_criterion_05_full_scale_spot_check():
     t0 = time.perf_counter()
     res = run_consistency_study(

@@ -290,6 +290,26 @@ class TestCliRankSelect:
         assert model.rank == 1  # square signal
 
 
+@pytest.mark.parametrize("command", ["fit", "rank-select", "simulate", "benchmark"])
+def test_negative_seed_is_usage_error(command, sim_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = {
+        "fit": ["--tensors", sim_dir / "x.tnsr", "--response",
+                sim_dir / "response.csv", "--output-dir", out],
+        "rank-select": ["--tensors", sim_dir / "x.tnsr", "--response",
+                        sim_dir / "response.csv", "--output-dir", out],
+        "simulate": ["--shape", "square", "--size", 16, "--n", 50,
+                     "--output-dir", out],
+        "benchmark": ["--shape", "square", "--dims", 16, "--sizes", "100",
+                      "--rank", 1, "--output", out],
+    }[command]
+    rc = run_cli([command, *args, "--seed", -1])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--seed" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "rank-select"])
 class TestCliRho:
     def run(self, command, sim_dir, outdir, *flags):

@@ -36,7 +36,6 @@ from tensorreg.model import (
     model_from_document,
     model_to_document,
     normalize_identifiability,
-    raw_parameter_count,
     select_rank,
     score_and_information,
 )
@@ -45,9 +44,9 @@ from tensorreg.tensor_core import (
     DenseTensor,
     cp_to_full,
     factor_chain_omitting,
-    inner,
-    mode_d_matricize,
 )
+
+from oracles import inner, mode_d_matricize, raw_parameter_count
 
 
 def random_dataset(rng, n, dims, p0=0):
@@ -319,6 +318,21 @@ class TestDatasetLayouts:
                 [ts[0], DenseTensor.from_array(rng.standard_normal((3, 2)))],
             )
 
+    def test_list_of_arrays_takes_the_array_path(self):
+        rng = np.random.default_rng(8)
+        arr = rng.standard_normal((3, 2, 4))
+        ds = TensorGlmDataset(np.zeros(3), list(arr))
+        assert ds.dims == (2, 4)
+        np.testing.assert_array_equal(
+            ds.x_matrix(), TensorGlmDataset(np.zeros(3), arr).x_matrix()
+        )
+
+    def test_three_way_z_rejected(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(DomainError, match="z must be"):
+            TensorGlmDataset(np.zeros(3), rng.standard_normal((3, 2, 2)),
+                             np.zeros((3, 2, 1)))
+
 
 # ---------------------------------------------------------------------------
 # Normalization
@@ -534,6 +548,27 @@ class TestFit:
 # ---------------------------------------------------------------------------
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("rank", 0), ("rank", 1.5), ("restarts", 0), ("restarts", 2.5),
+        ("max_outer_iters", float("nan")), ("max_outer_iters", 10.0),
+        ("seed", -1), ("seed", 0.5),
+    ])
+    def test_bad_value_names_the_field(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            FitConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig(rank=np.int64(2), restarts=np.int32(1), seed=np.uint64(7))
+        assert (cfg.rank, cfg.restarts, cfg.seed) == (2, 1, 7)
+
+    @pytest.mark.parametrize("max_rank", [0, 1.5])
+    def test_select_rank_max_rank_names_the_field(self, max_rank):
+        ds = random_dataset(np.random.default_rng(47), 30, (3, 3))
+        with pytest.raises(DomainError, match="max_rank"):
+            select_rank(ds, "normal", max_rank, FitConfig(restarts=1))
+
+
 class TestParameterCounts:
     def test_spec_values(self):
         assert effective_parameters((64, 64), 3, 0) == 376
@@ -705,6 +740,27 @@ class TestInference:
     def _normalized_model(self, rng, dims, rank, family="normal", gamma=(), n=200):
         coeff = normalize_identifiability(random_cp(rng, dims, rank))
         return make_model(coeff, family=family, gamma=gamma, n=n)
+
+    @pytest.mark.parametrize("model_dims,model_p0,data_dims,data_p0", [
+        ((3, 4), 0, (3, 4), 2),
+        ((3, 4), 2, (3, 4), 0),
+        ((3, 4), 1, (4, 3), 1),
+        ((3, 3, 2), 0, (3, 3), 0),
+    ])
+    def test_model_and_dataset_mismatch_fails_early(
+        self, model_dims, model_p0, data_dims, data_p0
+    ):
+        rng = np.random.default_rng(48)
+        model = self._normalized_model(rng, model_dims, 1, gamma=np.ones(model_p0))
+        ds = random_dataset(rng, 20, data_dims, p0=data_p0)
+        want = (f"dims {model_dims} and p0={model_p0}, the dataset dims "
+                f"{data_dims} and p0={data_p0}")
+        for call in (model.linear_predictor, lambda ds: bic(model, ds),
+                     lambda ds: score_and_information(model, ds),
+                     lambda ds: log_density_hessian(model, ds)):
+            with pytest.raises(DomainError) as err:
+                call(ds)
+            assert want in str(err.value)
 
     def test_score_near_zero_at_mle(self):
         rng = np.random.default_rng(27)
