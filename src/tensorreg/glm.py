@@ -275,7 +275,15 @@ def _pearson_phi(family, y, eta, ncols):
 
 
 def _weighted_gram(X, w, z):
-    """``X'WX`` and ``X'Wz`` for the diagonal weights ``W = diag(w)``."""
+    """``X'WX`` and ``X'Wz`` for the diagonal weights ``W = diag(w)``.
+
+    ``w`` None stands for unit weights (the normal family): the Gram is
+    then ``X.T @ X`` on ``X`` itself, which numpy runs as one symmetric
+    rank-k update (BLAS ``syrk``) with no weighted copy, also on a column
+    slice of a wider design.
+    """
+    if w is None:
+        return X.T @ X, X.T @ z
     Xw = X * w[:, None]
     return X.T @ Xw, Xw.T @ z
 
@@ -308,12 +316,14 @@ def _least_squares_step(X, w, z, beta, first):
 
     Cholesky on ``X'WX``, or the rank-revealing SVD solve when that is
     badly conditioned; a rank-deficient design on the ``first`` step
-    raises SingularDesignError.
+    raises SingularDesignError.  ``w`` None means unit weights.
     """
     step = _cholesky_solve(*_weighted_gram(X, w, z))
     if step is None:
-        sw = np.sqrt(w)
-        step, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * z, rcond=None)
+        if w is not None:
+            sw = np.sqrt(w)
+            X, z = sw[:, None] * X, sw * z
+        step, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
         if first and rank < X.shape[1]:
             raise SingularDesignError(X.shape[1], int(rank))
     return step
@@ -324,7 +334,9 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
 
     Each iteration forms the working response ``z`` and weights ``w`` at
     the current linear predictor, and ``solve(X, w, z, beta, first)``
-    maximizes the working quadratic (with the penalty, if any).  The
+    maximizes the working quadratic (with the penalty, if any).  When the
+    log-likelihood is quadratic in eta (the normal family) the weights are
+    1, passed as ``w`` None, and ``z`` is ``y - offset``.  The
     quadratic is only a local model for non-normal families, so the step
     is halved back toward the current iterate until the objective does not
     fall; the 40th halving is the last one evaluated, and is kept either
@@ -344,10 +356,13 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
     trace = [obj]
     converged = False
     for it in range(1, max_iter + 1):
-        # canonical link: mu'(eta) = V(mu), so the mean is computed once
-        mu = family.mean(eta)
-        w = np.maximum(family.variance(mu), _MIN_WEIGHT)
-        z = (eta - offset) + (y - mu) / w
+        if family.quadratic_loglik:
+            w, z = None, y - offset
+        else:
+            # canonical link: mu'(eta) = V(mu), so the mean is computed once
+            mu = family.mean(eta)
+            w = np.maximum(family.variance(mu), _MIN_WEIGHT)
+            z = (eta - offset) + (y - mu) / w
         beta_new = solve(X, w, z, beta, it == 1)
         for halvings in range(41):
             eta_new, ll_new, obj_new = objective(beta_new)
@@ -382,8 +397,10 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     Cholesky; when the factorization fails or is badly conditioned, the
     step is a rank-revealing SVD least-squares solve instead.  For a
     family whose log-likelihood is quadratic in the linear predictor (the
-    normal family) the first undamped step is the maximum, and the fit
-    stops there.  Step-halving keeps the log-likelihood nondecreasing
+    normal family) the weights are 1, so the step solves
+    ``X'X b = X'(y - offset)`` with the Gram formed from ``design`` itself
+    (no weighted copy); that first undamped step is the maximum, and the
+    fit stops there.  Step-halving keeps the log-likelihood nondecreasing
     across iterations for the canonical links used here; with a warm
     ``start`` the result is therefore never worse than the starting point.
 

@@ -18,6 +18,7 @@ from .errors import DomainError, TensorRegError
 from .glm import GlmFamily, get_family
 from .model import (
     TensorGlmDataset,
+    _require_int,
     _worker_pool,
     fit,
     max_workers,
@@ -175,7 +176,10 @@ def generate_ball_signal(dims, centers, half_period=14):
 
 @dataclass
 class SimSpec:
-    """Specification of one synthetic dataset draw."""
+    """Specification of one synthetic dataset draw.
+
+    ``seed`` is an integer >= 0 or a ``numpy.random.SeedSequence``.
+    """
 
     signal: DenseTensor
     gamma: np.ndarray
@@ -187,8 +191,9 @@ class SimSpec:
     def __post_init__(self):
         self.family = get_family(self.family)
         self.gamma = np.asarray(self.gamma, dtype=np.float64).reshape(-1)
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        _require_int("n", self.n, 1)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            _require_int("seed", self.seed, 0)
         if self.eta_scale is None:
             self.eta_scale = DEFAULT_ETA_SCALE[self.family.name]
 
@@ -252,8 +257,10 @@ def run_consistency_study(shape, n_grid, replicates, family, config, *,
     fatal.  Replicates own independent RNG streams spawned from
     ``config.seed``, so results are reproducible and order-independent.
     """
-    if replicates < 2:
-        raise DomainError("replicates must be >= 2")
+    # a bad study argument is no per-replicate failure: raise it up front
+    _require_int("replicates", replicates, 2)
+    if max_rank is not None:
+        _require_int("max_rank", max_rank, 1)
     if isinstance(shape, str):
         shape = ShapeSpec(shape)
     family = get_family(family)

@@ -157,13 +157,10 @@ def stack_vec(tensors):
     that views vec-order rows, as :func:`unstack_vec` returns, is not
     copied.
     """
-    first = tensors[0] if isinstance(tensors, (list, tuple)) and tensors else None
-    if isinstance(first, DenseTensor):
-        dims = first.dims
-        for t in tensors:
-            if t.dims != dims:
-                raise DomainError(f"tensor dims differ: {t.dims} vs {dims}")
-        return dims, np.stack([t.data for t in tensors])
+    if isinstance(tensors, (list, tuple)) and tensors:
+        _require_uniform(tensors)
+        if isinstance(tensors[0], DenseTensor):
+            return tensors[0].dims, np.stack([t.data for t in tensors])
     arr = np.asarray(tensors, dtype=np.float64)
     if arr.ndim < 2 or 0 in arr.shape:
         raise DomainError(
@@ -172,6 +169,26 @@ def stack_vec(tensors):
     # with the mode axes reversed, C order is vec order
     rows = arr.transpose([0] + list(range(arr.ndim - 1, 0, -1)))
     return tuple(arr.shape[1:]), rows.reshape(arr.shape[0], -1)
+
+
+def _require_uniform(tensors):
+    """Raise DomainError naming the first entry of the list ``tensors``
+    whose kind (DenseTensor or array) or shape differs from entry 0's."""
+
+    def kind(t):
+        if isinstance(t, DenseTensor):
+            return "a DenseTensor", t.dims
+        return "an array", np.shape(t)
+
+    first_kind, first_shape = kind(tensors[0])
+    for i, t in enumerate(tensors):
+        this_kind, shape = kind(t)
+        if this_kind != first_kind:
+            raise DomainError(f"tensor {i} is {this_kind}, tensor 0 {first_kind}")
+        if shape != first_shape:
+            raise DomainError(
+                f"tensor {i} has shape {shape}, tensor 0 has {first_shape}"
+            )
 
 
 def unstack_vec(rows, dims):

@@ -281,6 +281,53 @@ class TestBlockSolve:
             irls_fit(X, y, fam)
         assert (err.value.ncols, err.value.rank) == (3, 2)
 
+    def test_unit_weight_gram_of_a_column_slice_matches_the_weighted_one(self):
+        # the layout the lockstep fit hands over: a column slice of a wider
+        # C-ordered design, not contiguous
+        rng = np.random.default_rng(17)
+        wide = rng.standard_normal((300, 20))
+        X = wide[:, 6:14]
+        assert not X.flags.c_contiguous and not X.flags.f_contiguous
+        z = rng.standard_normal(300)
+        G, c = glm._weighted_gram(X, None, z)
+        G_w, c_w = glm._weighted_gram(X, np.ones(300), z)
+        np.testing.assert_allclose(G, G_w, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(c, c_w, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(G, G.T)
+
+    def test_normal_collinear_column_slice_raises_singular_design(self):
+        rng = np.random.default_rng(18)
+        wide = rng.standard_normal((60, 7))
+        wide[:, 4] = wide[:, 2] + wide[:, 3]
+        y = wide[:, 2] + rng.standard_normal(60)
+        with pytest.raises(SingularDesignError) as err:
+            irls_fit(wide[:, 2:5], y, "normal")
+        assert (err.value.ncols, err.value.rank) == (3, 2)
+
+    @pytest.mark.parametrize("name,unit", [("normal", True), ("bernoulli", False),
+                                           ("poisson", False)])
+    def test_only_the_normal_family_takes_unit_weights(self, monkeypatch, name,
+                                                       unit):
+        seen = []
+        gram = glm._weighted_gram
+
+        def spy(X, w, z):
+            seen.append(w)
+            return gram(X, w, z)
+
+        monkeypatch.setattr(glm, "_weighted_gram", spy)
+        rng = np.random.default_rng(19)
+        fam = get_family(name)
+        X = rng.standard_normal((80, 3))
+        y = fam.sample(0.3 * X[:, 0], rng)
+        offset = 0.1 * rng.standard_normal(80)
+        fit = irls_fit(X, y, fam, offset)
+        assert seen and all((w is None) == unit for w in seen)
+        if unit:
+            np.testing.assert_allclose(fit.coefficients,
+                                       ols_oracle(X, y - offset),
+                                       rtol=1e-12, atol=1e-14)
+
     def test_normal_fit_takes_one_exact_step(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((80, 4))

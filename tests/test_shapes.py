@@ -125,6 +125,30 @@ class TestSimulate:
         assert np.all(ds.y >= 0) and np.allclose(ds.y, np.round(ds.y))
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.0, "seed must be an integer"),
+        ("seed", None, "seed must be an integer"),
+        ("n", 1.5, "n must be an integer"),
+        ("n", 0, "n must be >= 1"),
+    ])
+    def test_bad_seed_or_n_is_named(self, field, value, message):
+        kwargs = dict(signal=generate_shape(ShapeSpec("square", 16)),
+                      gamma=np.ones(2), family="normal", n=10, seed=1)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=message):
+            SimSpec(**kwargs)
+
+    def test_seed_sequence_and_numpy_integers_are_accepted(self):
+        signal = generate_shape(ShapeSpec("square", 16))
+        a = simulate(SimSpec(signal=signal, gamma=np.ones(2), family="normal",
+                             n=np.int64(10), seed=np.random.SeedSequence(4)))
+        b = simulate(SimSpec(signal=signal, gamma=np.ones(2), family="normal",
+                             n=10, seed=np.int64(4)))
+        assert a.n == b.n == 10
+        np.testing.assert_array_equal(a.y, b.y)
+
+
 class TestRmse:
     def test_exact_match(self):
         assert rmse(np.arange(5.0), np.arange(5.0)) == 0.0
@@ -182,3 +206,25 @@ class TestStudyHarness:
                 family="normal",
                 config=FitConfig(rank=1),
             )
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(replicates=2.5), "replicates must be an integer"),
+        (dict(replicates=2, max_rank=1.5), "max_rank must be an integer"),
+        (dict(replicates=2, max_rank=0), "max_rank must be >= 1"),
+    ])
+    def test_bad_study_arguments_raise_before_any_replicate(self, monkeypatch,
+                                                            kwargs, message):
+        import tensorreg.shapes as shapes
+
+        drawn = []
+        monkeypatch.setattr(shapes, "simulate", lambda spec: drawn.append(spec))
+        with pytest.raises(DomainError, match=message):
+            run_consistency_study(
+                ShapeSpec("square", 16),
+                n_grid=[60],
+                family="normal",
+                config=FitConfig(rank=1),
+                **kwargs,
+            )
+        assert not drawn
+

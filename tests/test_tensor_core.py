@@ -18,6 +18,7 @@ from tensorreg.tensor_core import (
     khatri_rao,
     khatri_rao_chain,
     mode_dd_matricize,
+    stack_vec,
 )
 
 from oracles import (
@@ -141,6 +142,29 @@ class TestDenseTensor:
         t = DenseTensor((2, 2), np.ones(4))
         with pytest.raises((AttributeError, ValueError)):
             t.data[0] = 5.0
+
+
+class TestStackVec:
+    def test_arrays_of_different_shapes_name_the_first_mismatch(self):
+        tensors = [np.zeros((2, 3)), np.ones((2, 3)), np.zeros((3, 2)),
+                   np.zeros((4, 4))]
+        with pytest.raises(DomainError, match=r"tensor 2 has shape \(3, 2\)"):
+            stack_vec(tensors)
+
+    def test_dense_tensors_of_different_dims_name_the_first_mismatch(self):
+        tensors = [DenseTensor((2, 3), np.zeros(6)), DenseTensor((3, 2), np.zeros(6))]
+        with pytest.raises(DomainError, match=r"tensor 1 has shape \(3, 2\)"):
+            stack_vec(tensors)
+
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_mixed_dense_tensors_and_arrays_are_named(self, dense_first):
+        arr = np.arange(6.0).reshape(2, 3)
+        tensors = [DenseTensor.from_array(arr), arr, arr]
+        if not dense_first:
+            tensors = tensors[::-1]
+        kind = "an array" if dense_first else "a DenseTensor"
+        with pytest.raises(DomainError, match=f"tensor {1 if dense_first else 2} is {kind}"):
+            stack_vec(tensors)
 
 
 class TestVecIndex:
