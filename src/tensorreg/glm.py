@@ -53,8 +53,8 @@ class GlmFamily:
 
     Subclasses provide the cumulant ``b``, the mean ``mu = b'(eta)`` and
     variance ``V(mu) = b''(eta)`` functions, the dispersion scale
-    ``a(phi)``, the log-density constant ``c(y, phi)`` and the link.  The
-    link is canonical, so the natural parameter is ``eta`` itself, and the
+    ``a(phi)`` and the log-density constant ``c(y, phi)``.  The link is
+    canonical, so the natural parameter is ``eta`` itself, and the
     derivatives of the log-likelihood in ``eta`` are ``(y - mu) / a(phi)``
     and ``-V(mu) / a(phi)``.
     """
@@ -79,10 +79,6 @@ class GlmFamily:
 
     def variance(self, mu):
         """Variance function ``V(mu)``."""
-        raise NotImplementedError
-
-    def link(self, mu):
-        """Canonical link ``g(mu)``."""
         raise NotImplementedError
 
     def c(self, y, phi):
@@ -118,9 +114,6 @@ class NormalFamily(GlmFamily):
     def variance(self, mu):
         return np.ones_like(np.asarray(mu, dtype=np.float64))
 
-    def link(self, mu):
-        return np.asarray(mu, dtype=np.float64)
-
     def c(self, y, phi):
         # Exact constant, so the normal log-likelihood is the true density.
         return -0.5 * np.square(y) / phi - 0.5 * np.log(2.0 * np.pi * phi)
@@ -141,9 +134,6 @@ class BernoulliFamily(GlmFamily):
 
     def variance(self, mu):
         return mu * (1.0 - mu)
-
-    def link(self, mu):
-        return np.log(mu / (1.0 - mu))
 
     def c(self, y, phi):
         return np.zeros_like(np.asarray(y, dtype=np.float64))
@@ -168,9 +158,6 @@ class PoissonFamily(GlmFamily):
 
     def variance(self, mu):
         return np.asarray(mu, dtype=np.float64)
-
-    def link(self, mu):
-        return np.log(mu)
 
     def c(self, y, phi):
         # Data-only constant log(y!), included so likelihoods are comparable
@@ -224,17 +211,17 @@ def log_likelihood(family, y, eta, phi=1.0):
 class GlmFit:
     """Result of a (penalized) GLM fit.
 
-    ``loglik`` is the working log-likelihood at unit dispersion; ``phi``
-    carries the Pearson dispersion estimate for the normal family (1.0
-    otherwise).  ``restart_selected`` reports which start won when a
-    nonconvex penalty was solved from multiple starts.
+    ``trace`` holds the objective (log-likelihood at unit dispersion, less
+    the penalty) at every iterate, and ``eta`` the linear predictor of the
+    last one.  ``restart_selected`` reports which start won when a
+    nonconvex penalty was solved from multiple starts.  The kernel
+    estimates no dispersion: the tensor model does that once, for the
+    model it keeps.
     """
 
     coefficients: np.ndarray
-    loglik: float
     iterations: int
     converged: bool
-    phi: float = 1.0
     restart_selected: int | None = None
     eta: np.ndarray = field(default=None, repr=False)
     trace: list = field(default_factory=list, repr=False)
@@ -264,14 +251,6 @@ def _as_start(start, p):
     if beta.size != p:
         raise DomainError(f"start has {beta.size} entries for {p} columns")
     return beta
-
-
-def _pearson_phi(family, y, eta, ncols):
-    if family.dispersion_fixed:
-        return 1.0
-    mu = family.mean(eta)
-    dof = max(len(y) - ncols, 1)
-    return float(np.sum((y - mu) ** 2 / family.variance(mu)) / dof)
 
 
 def _weighted_gram(X, w, z):
@@ -350,9 +329,9 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
     def objective(beta):
         eta = X @ beta + offset
         ll = log_likelihood(family, y, eta, 1.0)
-        return eta, ll, ll if penalty is None else ll - penalty(beta)
+        return eta, ll if penalty is None else ll - penalty(beta)
 
-    eta, ll, obj = objective(beta)
+    eta, obj = objective(beta)
     trace = [obj]
     converged = False
     for it in range(1, max_iter + 1):
@@ -365,13 +344,13 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
             z = (eta - offset) + (y - mu) / w
         beta_new = solve(X, w, z, beta, it == 1)
         for halvings in range(41):
-            eta_new, ll_new, obj_new = objective(beta_new)
+            eta_new, obj_new = objective(beta_new)
             if halvings == 40 or (
                 np.isfinite(obj_new) and obj_new >= obj - 1e-12 * (1.0 + abs(obj))
             ):
                 break
             beta_new = 0.5 * (beta_new + beta)
-        beta, eta, ll = beta_new, eta_new, ll_new
+        beta, eta = beta_new, eta_new
         obj_prev, obj = obj, obj_new
         trace.append(obj)
         exact = family.quadratic_loglik and halvings == 0
@@ -380,10 +359,8 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
             break
     return GlmFit(
         coefficients=beta,
-        loglik=ll,
         iterations=len(trace) - 1,
         converged=converged,
-        phi=_pearson_phi(family, y, eta, X.shape[1]),
         eta=eta,
         trace=trace,
     )
@@ -425,8 +402,8 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     return fit
 
 
-def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
-    """Cyclic coordinate descent on (1/2) b'Gb - c'b + sum P(|b_j|).
+def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
+    """Cyclic coordinate descent on (1/2) b'Gb - c'b + sum_j P(|b_j|).
 
     The sweeps run on Python floats and read rows of the symmetric ``G``.
     For a penalty with a quadratic piece (lasso, ridge, elastic net), a
@@ -435,8 +412,7 @@ def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
     JSS 2010), returned only if it is a fixed point of the sweep to within
     ``tol``, the step bound plain coordinate descent stops at.
     """
-    coords = list(zip(range(beta.size), G, G.diagonal().tolist(), cvec.tolist(),
-                      penalized.tolist()))
+    coords = list(zip(range(beta.size), G, G.diagonal().tolist(), cvec.tolist()))
     rule = spec.threshold_rule()
     finish = spec.quadratic_piece is not None
     q = G @ beta
@@ -445,13 +421,12 @@ def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
     tried = None
     for _ in range(max_sweeps):
         delta = 0.0
-        for j, row, gjj, cj, pj in coords:
+        for j, row, gjj, cj in coords:
             bj = b[j]
             if gjj <= 0.0:
                 new = 0.0
             else:
-                zj = (cj - q.item(j) + gjj * bj) / gjj
-                new = rule(zj, gjj) if pj else zj
+                new = rule((cj - q.item(j) + gjj * bj) / gjj, gjj)
             step = new - bj
             if step != 0.0:
                 q += row * step
@@ -465,30 +440,28 @@ def _cd_on_quadratic(G, cvec, beta, penalized, spec, tol, max_sweeps):
             # the candidate depends on the sign pattern only: try each once
             if np.array_equal(signs, before) and not np.array_equal(signs, tried):
                 tried = signs
-                cand = _exact_finish(G, cvec, signs, penalized, spec, tol)
+                cand = _exact_finish(G, cvec, signs, spec, tol)
                 if cand is not None:
                     return cand
     return np.array(b)
 
 
-def _exact_finish(G, cvec, signs, penalized, spec, tol):
+def _exact_finish(G, cvec, signs, spec, tol):
     """Minimizer on the active set of ``signs``, if no sweep would move it.
 
-    Solves ``(G_AA + a2 I) b_A = c_A - a1 s_A`` (the penalty terms on the
-    penalized coordinates only), then applies one vectorised pass of
-    :func:`threshold_update` to every coordinate at once.  The solve is
-    numpy's LU: scipy's Cholesky runs on the second BLAS library that
-    scipy bundles, which raised the peak resident memory of a lasso fit
-    by about 2 MB.
+    Solves ``(G_AA + a2 I) b_A = c_A - a1 s_A``, then applies one
+    vectorised pass of :func:`threshold_update` to every coordinate at
+    once.  The solve is numpy's LU: scipy's Cholesky runs on the second
+    BLAS library that scipy bundles, which raised the peak resident memory
+    of a lasso fit by about 2 MB.
     """
     a1, a2 = spec.quadratic_piece
     diag = G.diagonal()
     live = diag > 0.0
-    act = ((signs != 0.0) | ~penalized) & live
-    shrink = penalized[act]
+    act = (signs != 0.0) & live
     M = G[act][:, act]
-    M[np.diag_indices_from(M)] += a2 * shrink
-    rhs = cvec[act] - a1 * (signs[act] * shrink)
+    M[np.diag_indices_from(M)] += a2
+    rhs = cvec[act] - a1 * signs[act]
     cand = np.zeros_like(cvec)
     try:
         cand[act] = np.linalg.solve(M, rhs)
@@ -496,19 +469,18 @@ def _exact_finish(G, cvec, signs, penalized, spec, tol):
         return None
     w = np.where(live, diag, 1.0)
     z = cand + (cvec - G @ cand) / w
-    moved = np.where(penalized, threshold_update(spec, z, w), z)
+    moved = threshold_update(spec, z, w)
     moved[~live] = 0.0
     return cand if np.max(np.abs(moved - cand)) <= tol else None
 
 
-def penalized_fit(design, y, family, offset=None, penalty=None,
-                  unpenalized_mask=None, *, warm_start=None, tol=1e-9,
-                  max_iter=100):
+def penalized_fit(design, y, family, offset=None, penalty=None, *,
+                  warm_start=None, tol=1e-9, max_iter=100):
     """Penalized GLM fit by coordinate descent on the IRLS quadratic.
 
-    Maximizes ``loglik - sum_j P(|beta_j|)`` over the penalized
-    coordinates; coordinates flagged in ``unpenalized_mask`` (e.g.
-    intercept columns) are updated without shrinkage.  With no penalty or
+    Maximizes ``loglik - sum_j P(|beta_j|)``: every coefficient is
+    penalized (the tensor fit updates its intercept and covariates in a
+    block of their own, by :func:`irls_fit`).  With no penalty or
     ``rho = 0`` this delegates to :func:`irls_fit`, started from
     ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`
     with coordinate descent as the quadratic step, and step-halving keeps
@@ -518,26 +490,10 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
     """
     family = get_family(family)
     X, y, offset = _as_problem(design, y, offset)
-    p = X.shape[1]
-    if unpenalized_mask is None:
-        unpenalized_mask = np.zeros(p, dtype=bool)
-    else:
-        unpenalized_mask = np.asarray(unpenalized_mask, dtype=bool).reshape(-1)
-        if unpenalized_mask.size != p:
-            raise DomainError(
-                f"mask length {unpenalized_mask.size} != {p} design columns"
-            )
     if penalty is None or penalty.rho == 0.0:
         return irls_fit(X, y, family, offset, start=warm_start, tol=tol,
                         max_iter=max_iter)
-    penalized = ~unpenalized_mask
-
-    if unpenalized_mask.any():
-        sub = X[:, unpenalized_mask]
-        rank = np.linalg.matrix_rank(sub)
-        if rank < sub.shape[1]:
-            raise SingularDesignError(int(sub.shape[1]), int(rank))
-
+    p = X.shape[1]
     starts = []
     if warm_start is not None:
         starts.append(_as_start(warm_start, p))
@@ -556,11 +512,11 @@ def penalized_fit(design, y, family, offset=None, penalty=None,
         starts = starts[:1]
 
     def solve(X, w, z, beta, first):
-        return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalized, penalty,
+        return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalty,
                                 tol=1e-12, max_sweeps=_MAX_SWEEPS)
 
     def cost(beta):
-        return float(np.sum(penalty_value(penalty, beta[penalized])))
+        return float(np.sum(penalty_value(penalty, beta)))
 
     fits = [_irls(family, y, X, offset, b0, solve, cost, tol, max_iter)
             for b0 in starts]

@@ -95,9 +95,21 @@ def parse_tensor_file(path):
 
 
 def _read_csv_rows(path):
+    """The rows of a CSV file, header first.
+
+    A data row whose field count differs from the header's (a blank line
+    has none) is a ParseError naming its 1-based line.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(rows[0])}"
+                )
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path}: empty CSV")
     return rows
@@ -110,7 +122,7 @@ def read_response_csv(path):
         raise ParseError(f"{path}: expected header 'y', got {rows[0]!r}")
     try:
         return np.array([float(r[0]) for r in rows[1:]], dtype=np.float64)
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ParseError(f"{path}: malformed response row: {err}") from None
 
 

@@ -763,28 +763,21 @@ def select_rank(dataset, family, max_rank, config):
         plan.append((cfg, len(starts)))
         starts += _starts(cfg)
     runs = _fit_lockstep(dataset, family, starts)
-    results = []
-    for cfg, at in plan:
-        if isinstance(at, TensorRegError):
-            results.append(at)
-            continue
-        try:
-            results.append(
-                _best_model(dataset, family, cfg, runs[at : at + cfg.restarts])
-            )
-        except TensorRegError as err:
-            results.append(err)
     table = []
     best = None
-    for rank, res in zip(range(1, max_rank + 1), results):
-        if isinstance(res, Exception):
+    for cfg, at in plan:
+        try:
+            if isinstance(at, TensorRegError):
+                raise at
+            res = _best_model(dataset, family, cfg, runs[at : at + cfg.restarts])
+        except TensorRegError as err:
             table.append(
-                {"rank": rank, "bic": None, "loglik": None, "converged": False,
-                 "error": str(res)}
+                {"rank": cfg.rank, "bic": None, "loglik": None, "converged": False,
+                 "error": str(err)}
             )
             continue
         table.append(
-            {"rank": rank, "bic": res.bic, "loglik": res.loglik,
+            {"rank": cfg.rank, "bic": res.bic, "loglik": res.loglik,
              "converged": res.converged, "error": None}
         )
         if best is None or res.bic < best.bic:
@@ -1068,8 +1061,9 @@ def model_to_document(model):
 def model_from_document(doc):
     """Rebuild a model from :func:`model_to_document` output.
 
-    Raises DomainError naming the field that is missing, not numeric, or
-    inconsistent with the factors or ``p0``.
+    Raises DomainError naming the field that is missing, not numeric,
+    nonfinite, out of range (``phi <= 0``, ``n < 1``), or inconsistent with
+    the factors or ``p0``.
     """
     if not isinstance(doc, dict) or doc.get("format") != _DOC_FORMAT:
         raise DomainError(f"not a {_DOC_FORMAT} document")
@@ -1084,27 +1078,39 @@ def model_from_document(doc):
         except (KeyError, TypeError, ValueError) as err:
             raise DomainError(f"model document field {key!r}: {err}") from None
 
+    def finite(key, *values):
+        if not all(np.isfinite(v).all() for v in values):
+            raise DomainError(f"model document field {key!r} has a nonfinite value")
+        return values[0]
+
     factors = field("factors", lambda fs: [np.asarray(f, np.float64) for f in fs])
     coeff = CpTensor(factors)
+    finite("factors", *factors)
     if field("dims", tuple) != coeff.dims or field("rank", int) != coeff.rank:
         raise DomainError("document dims/rank do not match its factors")
     p0 = field("p0", int)
-    gamma = field("gamma", lambda v: np.asarray(v, dtype=np.float64))
+    gamma = finite("gamma", field("gamma", lambda v: np.asarray(v, dtype=np.float64)))
     if gamma.shape != (p0,):
         raise DomainError(f"model document fields 'gamma' and 'p0' disagree: gamma "
                           f"has shape {gamma.shape}, p0 is {p0}")
+    phi = finite("phi", field("phi"))
+    if phi <= 0.0:
+        raise DomainError(f"model document field 'phi' must be > 0, got {phi!r}")
+    n = field("n", int)
+    if n < 1:
+        raise DomainError(f"model document field 'n' must be >= 1, got {n!r}")
     return TensorGlmModel(
-        alpha=field("alpha"),
+        alpha=finite("alpha", field("alpha")),
         gamma=gamma,
         coeff=coeff,
         family=field("family", lambda v: get_family(str(v))),
-        phi=field("phi"),
-        loglik=field("loglik"),
-        bic=field("bic"),
+        phi=phi,
+        loglik=finite("loglik", field("loglik")),
+        bic=finite("bic", field("bic")),
         trace=field("trace", lambda v: [float(t) for t in v]),
         converged=field("converged", bool),
         restarts_used=field("restarts_used", int),
-        n=field("n", int),
+        n=n,
         p0=p0,
         penalty=field("penalty", PenaltySpec.from_dict) if doc.get("penalty") else None,
     )

@@ -66,6 +66,21 @@ class TestCsvFiles:
         with pytest.raises(ParseError, match="header"):
             read_response_csv(path)
 
+    @pytest.mark.parametrize("read, text, message", [
+        (read_response_csv, "y\n0.5\n1.0,junk\n",
+         "line 3 has 2 fields, the header has 1"),
+        (read_response_csv, "y\n0.5\n\n2.0\n",
+         "line 3 has 0 fields, the header has 1"),
+        (read_covariates_csv, "z1,z2\n1.0,2.0\n3.0,4.0\n5.0\n",
+         "line 4 has 1 fields, the header has 2"),
+    ], ids=["response_extra_field", "response_blank_line", "covariates_ragged"])
+    def test_row_of_the_wrong_width_names_its_line(self, tmp_path, read, text,
+                                                   message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"data.csv: {message}$"):
+            read(path)
+
     def test_covariates_round_trip(self, tmp_path):
         z = np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0
         path = tmp_path / "z.csv"

@@ -978,17 +978,22 @@ class TestModelDocument:
         }
         with pytest.raises(DomainError):
             model_from_document(doc)
-        # a missing field, a non-numeric entry, or a gamma of the wrong length
-        # raises DomainError naming the field
+        # a missing field, a non-numeric or nonfinite entry, phi <= 0, n < 1,
+        # or a gamma of the wrong length raises DomainError naming the field
         rng = np.random.default_rng(34)
-        good = model_to_document(
+        good = dict(model_to_document(
             make_model(random_cp(rng, (3, 4), 1), gamma=(0.5, -1.0), n=20)
-        )
+        ), loglik=-31.5, bic=75.0)
+        inf = float("inf")
+        bad_factors = [[[1.0], [0.5], [inf]], good["factors"][1]]
         bad_values = [
             ("alpha", None), ("alpha", "high"), ("phi", [1.0]), ("n", "many"),
             ("trace", [0.0, "x"]), ("factors", [[[1.0, 2.0], [3.0]], [1.0]]),
             ("family", 5), ("gamma", ["a"]), ("gamma", [1.0, 2.0, 3.0]),
             ("gamma", [1.0]), ("p0", 3),
+            ("alpha", inf), ("gamma", [0.5, np.nan]), ("factors", bad_factors),
+            ("phi", np.nan), ("phi", 0.0), ("phi", -1.0), ("loglik", -inf),
+            ("bic", np.nan), ("n", 0),
         ]
         for key, value in bad_values:
             doc = dict(good, **{key: value})
