@@ -73,22 +73,27 @@ def _int_list(value):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {value}")
 
 
-def _add_fit_options(p, with_rank=True):
-    p.add_argument("--tensors", required=True, help="TNSR stack of covariate tensors")
-    p.add_argument("--response", required=True, help="CSV with single column y")
-    p.add_argument("--covariates", help="optional CSV of ordinary covariates")
-    p.add_argument("--family", default="normal",
-                   choices=["normal", "bernoulli", "poisson"])
-    if with_rank:
-        p.add_argument("--rank", type=_positive_int, default=1)
-    p.add_argument("--penalty", choices=["lasso", "ridge", "bridge", "power",
-                                         "elastic_net", "scad"])
-    p.add_argument("--rho", type=_at_least(0.0, float), default=0.0)
-    p.add_argument("--lam", type=float, help="penalty family index")
+_FAMILIES = ["normal", "bernoulli", "poisson"]
+
+
+def _add_solver_options(p):
+    """The options :func:`_fit_config` reads, shared by every fitting command."""
+    p.add_argument("--family", default="normal", choices=_FAMILIES)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-outer-iters", type=_positive_int, default=500)
     p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
+
+
+def _add_fit_options(p):
+    p.add_argument("--tensors", required=True, help="TNSR stack of covariate tensors")
+    p.add_argument("--response", required=True, help="CSV with single column y")
+    p.add_argument("--covariates", help="optional CSV of ordinary covariates")
+    _add_solver_options(p)
+    p.add_argument("--penalty", choices=["lasso", "ridge", "bridge", "power",
+                                         "elastic_net", "scad"])
+    p.add_argument("--rho", type=_at_least(0.0, float), default=0.0)
+    p.add_argument("--lam", type=float, help="penalty family index")
     p.add_argument("--output-dir", required=True)
 
 
@@ -99,13 +104,13 @@ def build_parser():
     p_fit = sub.add_parser("fit",
                            help="fit a rank-R tensor GLM on user data")
     _add_fit_options(p_fit)
+    p_fit.add_argument("--rank", type=_positive_int, default=1)
 
     p_sim = sub.add_parser("simulate",
                            help="write a synthetic shape dataset to disk")
     p_sim.add_argument("--shape", required=True, choices=list(SHAPE_NAMES))
     p_sim.add_argument("--size", type=_positive_int, default=64)
-    p_sim.add_argument("--family", default="normal",
-                       choices=["normal", "bernoulli", "poisson"])
+    p_sim.add_argument("--family", default="normal", choices=_FAMILIES)
     p_sim.add_argument("--n", type=_positive_int, required=True)
     p_sim.add_argument("--gamma-dim", type=_nonnegative_int, default=5)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
@@ -119,22 +124,19 @@ def build_parser():
     p_bench.add_argument("--sizes", type=_int_list, required=True,
                          help="comma-separated sample sizes")
     p_bench.add_argument("--replicates", type=_positive_int, default=20)
-    p_bench.add_argument("--family", default="normal",
-                         choices=["normal", "bernoulli", "poisson"])
-    p_bench.add_argument("--rank", type=_positive_int,
-                         help="fit at this fixed rank")
-    p_bench.add_argument("--max-rank", type=_positive_int,
-                         help="select rank by BIC up to this bound")
+    ranks = p_bench.add_mutually_exclusive_group(required=True)
+    ranks.add_argument("--rank", type=_positive_int,
+                       help="fit at this fixed rank")
+    ranks.add_argument("--max-rank", type=_positive_int,
+                       help="select rank by BIC up to this bound")
     p_bench.add_argument("--gamma-dim", type=_nonnegative_int, default=5)
-    p_bench.add_argument("--epsilon", type=float)
-    p_bench.add_argument("--max-outer-iters", type=_positive_int, default=500)
-    p_bench.add_argument("--restarts", type=_positive_int, default=2)
-    p_bench.add_argument("--seed", type=_nonnegative_int, default=0)
+    _add_solver_options(p_bench)
+    p_bench.set_defaults(restarts=2)
     p_bench.add_argument("--output", required=True, help="study CSV path")
 
     p_rank = sub.add_parser("rank-select",
                             help="fit ranks 1..max and pick the BIC minimizer")
-    _add_fit_options(p_rank, with_rank=False)
+    _add_fit_options(p_rank)
     p_rank.add_argument("--max-rank", type=_positive_int, default=3)
 
     p_ins = sub.add_parser("inspect",
@@ -163,12 +165,15 @@ def _load_dataset(args):
     return TensorGlmDataset(y, tensors, z)
 
 
-def _fit_config(args, rank):
-    penalty = None
-    if args.rho > 0.0:  # rho = 0 means no penalty, with or without --penalty
-        if args.penalty is None:
-            raise TensorRegError(f"--rho {args.rho:g} needs a --penalty")
-        penalty = PenaltySpec(args.penalty, args.rho, args.lam)
+def _penalty(args):
+    if args.rho == 0.0:  # no penalty, with or without --penalty
+        return None
+    if args.penalty is None:
+        raise TensorRegError(f"--rho {args.rho:g} needs a --penalty")
+    return PenaltySpec(args.penalty, args.rho, args.lam)
+
+
+def _fit_config(args, rank, penalty=None):
     return FitConfig(
         rank=rank,
         epsilon=args.epsilon,
@@ -194,7 +199,7 @@ def _write_model_outputs(model, outdir):
 
 
 def cmd_fit(args):
-    config = _fit_config(args, args.rank)
+    config = _fit_config(args, args.rank, _penalty(args))
     model = fit(_load_dataset(args), get_family(args.family), config)
     path = _write_model_outputs(model, args.output_dir)
     print(f"model written to {path}")
@@ -233,15 +238,7 @@ def cmd_simulate(args):
 
 
 def cmd_benchmark(args):
-    if (args.rank is None) == (args.max_rank is None):
-        raise TensorRegError("give exactly one of --rank or --max-rank")
-    config = FitConfig(
-        rank=args.rank or 1,
-        epsilon=args.epsilon,
-        max_outer_iters=args.max_outer_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = _fit_config(args, args.rank or 1)
     result = run_consistency_study(
         ShapeSpec(args.shape, args.dims),
         n_grid=args.sizes,
@@ -259,19 +256,12 @@ def cmd_benchmark(args):
 
 
 def cmd_rank_select(args):
-    config = _fit_config(args, 1)
+    config = _fit_config(args, 1, _penalty(args))
     model, table = select_rank(
         _load_dataset(args), get_family(args.family), args.max_rank, config
     )
     os.makedirs(args.output_dir, exist_ok=True)
-    table_path = os.path.join(args.output_dir, "bic_table.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("rank,bic,loglik,converged,error\n")
-        for row in table:
-            bic_s = "" if row["bic"] is None else repr(row["bic"])
-            ll_s = "" if row["loglik"] is None else repr(row["loglik"])
-            err_s = "" if row["error"] is None else row["error"].replace(",", ";")
-            fh.write(f"{row['rank']},{bic_s},{ll_s},{row['converged']},{err_s}\n")
+    tio.write_bic_table_csv(os.path.join(args.output_dir, "bic_table.csv"), table)
     path = _write_model_outputs(model, args.output_dir)
     print(f"selected rank {model.rank}; model written to {path}")
     return EXIT_OK if model.converged else EXIT_NOT_CONVERGED

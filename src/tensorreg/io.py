@@ -11,6 +11,8 @@ TNSR stack layout (all integers little-endian):
 CSV files carry a header row; the response file has the single column
 ``y``, the covariate file one named column per ordinary covariate.  Study
 tables use the fixed schema in :data:`tensorreg.shapes.STUDY_COLUMNS`.
+A data row of the wrong width, or a cell that is not a number, is a
+ParseError naming the file and the row's 1-based line.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "write_covariates_csv",
     "write_study_csv",
     "write_trace_csv",
+    "write_bic_table_csv",
     "write_pgm",
 ]
 
@@ -94,96 +97,95 @@ def parse_tensor_file(path):
     return unstack_vec(rows, dims)
 
 
-def _read_csv_rows(path):
-    """The rows of a CSV file, header first.
+def _read_csv(path):
+    """The header of a CSV file and its data rows as a float matrix.
 
     A data row whose field count differs from the header's (a blank line
-    has none) is a ParseError naming its 1-based line.
+    has none), or a cell that is not a number, is a ParseError naming its
+    1-based line.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = []
-        for row in reader:
-            if rows and len(row) != len(rows[0]):
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty CSV")
+        width = len(header)
+        values = []
+        n = 0
+        for n, row in enumerate(reader, start=1):
+            if len(row) != width:
                 raise ParseError(
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
-                    f"the header has {len(rows[0])}"
+                    f"the header has {width}"
                 )
-            rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: empty CSV")
-    return rows
+            try:
+                values.extend(map(float, row))
+            except ValueError as err:
+                raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
+    return header, np.array(values, dtype=np.float64).reshape(n, width)
+
+
+def _write_csv(path, header, rows):
+    """Write a header and rows.  ``csv.writer`` writes a Python float cell
+    as its ``repr`` (the shortest text that reads back the same value) and
+    ``None`` as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_response_csv(path):
     """Read the single-column response file (header ``y``)."""
-    rows = _read_csv_rows(path)
-    if [c.strip() for c in rows[0]] != ["y"]:
-        raise ParseError(f"{path}: expected header 'y', got {rows[0]!r}")
-    try:
-        return np.array([float(r[0]) for r in rows[1:]], dtype=np.float64)
-    except ValueError as err:
-        raise ParseError(f"{path}: malformed response row: {err}") from None
+    header, data = _read_csv(path)
+    if [c.strip() for c in header] != ["y"]:
+        raise ParseError(f"{path}: expected header 'y', got {header!r}")
+    return data[:, 0]
 
 
 def write_response_csv(path, y):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"])
-        for v in np.asarray(y, dtype=np.float64):
-            writer.writerow([repr(float(v))])
+    _write_csv(path, ["y"], np.asarray(y, dtype=np.float64).reshape(-1, 1).tolist())
 
 
 def read_covariates_csv(path):
     """Read the named-column covariate file; returns (names, (n, p0) array)."""
-    rows = _read_csv_rows(path)
-    names = [c.strip() for c in rows[0]]
+    header, data = _read_csv(path)
+    names = [c.strip() for c in header]
     if not names or any(not c for c in names):
         raise ParseError(f"{path}: covariate header must name every column")
-    try:
-        data = np.array(
-            [[float(v) for v in r] for r in rows[1:]], dtype=np.float64
-        ).reshape(len(rows) - 1, len(names))
-    except ValueError as err:
-        raise ParseError(f"{path}: malformed covariate row: {err}") from None
     return names, data
 
 
-def write_covariates_csv(path, z, names=None):
+def write_covariates_csv(path, z):
+    """Write an ``(n, p0)`` covariate matrix with columns ``z1 .. z<p0>``."""
     z = np.asarray(z, dtype=np.float64)
-    if names is None:
-        names = [f"z{j + 1}" for j in range(z.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in z:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, [f"z{j + 1}" for j in range(z.shape[1])], z.tolist())
 
 
 def write_study_csv(path, rows):
     """Write study rows with the fixed schema, deterministically."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STUDY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["shape"],
-                    row["n"],
-                    row["param"],
-                    repr(float(row["mean_rmse"])),
-                    repr(float(row["sd_rmse"])),
-                    row["rank_selected_mode"],
-                ]
-            )
+    _write_csv(path, STUDY_COLUMNS, (
+        [r["shape"], r["n"], r["param"], float(r["mean_rmse"]),
+         float(r["sd_rmse"]), r["rank_selected_mode"]]
+        for r in rows
+    ))
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "objective"])
-        for i, v in enumerate(trace):
-            writer.writerow([i, repr(float(v))])
+    _write_csv(path, ["iteration", "objective"],
+               ([i, float(v)] for i, v in enumerate(trace)))
+
+
+def write_bic_table_csv(path, table):
+    """Write :func:`tensorreg.model.select_rank`'s table, one row per rank.
+
+    A rank whose fit failed has empty ``bic`` and ``loglik`` cells and its
+    error message in ``error``.
+    """
+    _write_csv(path, ["rank", "bic", "loglik", "converged", "error"], (
+        [r[k] for k in ("rank", "bic", "loglik", "converged", "error")]
+        for r in table
+    ))
 
 
 def write_pgm(path, matrix, comment=""):

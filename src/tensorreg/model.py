@@ -208,24 +208,23 @@ class TensorGlmDataset:
     def ndim(self):
         return len(self.dims)
 
-    @property
-    def x(self):
-        """The tensor covariates as a list of DenseTensor."""
-        return [DenseTensor(self.dims, row) for row in self._vecs]
-
     def x_matrix(self):
         """``(n, prod(dims))`` matrix whose row i is ``vec(x_i)`` (not a copy)."""
         return self._vecs
 
 
 def _require_int(name, value, low):
-    """Raise DomainError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    """``value`` as an int; DomainError naming ``name`` unless it is an
+    integer (not a bool) >= ``low``."""
     try:
-        ok = operator.index(value) >= low
+        if isinstance(value, bool):
+            raise TypeError
+        v = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if not ok:
+    if not v >= low:
         raise DomainError(f"{name} must be >= {low}, got {value!r}")
+    return v
 
 
 @dataclass
@@ -1061,9 +1060,11 @@ def model_to_document(model):
 def model_from_document(doc):
     """Rebuild a model from :func:`model_to_document` output.
 
-    Raises DomainError naming the field that is missing, not numeric,
-    nonfinite, out of range (``phi <= 0``, ``n < 1``), or inconsistent with
-    the factors or ``p0``.
+    Raises DomainError naming the field that is missing, of the wrong JSON
+    type (``n``, ``p0``, ``rank`` and ``restarts_used`` are integers,
+    ``converged`` a boolean), nonfinite, out of range (``phi <= 0``,
+    ``n < 1``, ``restarts_used < 1``), or inconsistent with the factors or
+    ``p0``.
     """
     if not isinstance(doc, dict) or doc.get("format") != _DOC_FORMAT:
         raise DomainError(f"not a {_DOC_FORMAT} document")
@@ -1078,6 +1079,15 @@ def model_from_document(doc):
         except (KeyError, TypeError, ValueError) as err:
             raise DomainError(f"model document field {key!r}: {err}") from None
 
+    def integer(key, low):
+        return _require_int(f"model document field {key!r}",
+                            field(key, lambda v: v), low)
+
+    def boolean(v):
+        if not isinstance(v, bool):
+            raise TypeError(f"must be true or false, got {v!r}")
+        return v
+
     def finite(key, *values):
         if not all(np.isfinite(v).all() for v in values):
             raise DomainError(f"model document field {key!r} has a nonfinite value")
@@ -1086,9 +1096,9 @@ def model_from_document(doc):
     factors = field("factors", lambda fs: [np.asarray(f, np.float64) for f in fs])
     coeff = CpTensor(factors)
     finite("factors", *factors)
-    if field("dims", tuple) != coeff.dims or field("rank", int) != coeff.rank:
+    if field("dims", tuple) != coeff.dims or integer("rank", 1) != coeff.rank:
         raise DomainError("document dims/rank do not match its factors")
-    p0 = field("p0", int)
+    p0 = integer("p0", 0)
     gamma = finite("gamma", field("gamma", lambda v: np.asarray(v, dtype=np.float64)))
     if gamma.shape != (p0,):
         raise DomainError(f"model document fields 'gamma' and 'p0' disagree: gamma "
@@ -1096,9 +1106,6 @@ def model_from_document(doc):
     phi = finite("phi", field("phi"))
     if phi <= 0.0:
         raise DomainError(f"model document field 'phi' must be > 0, got {phi!r}")
-    n = field("n", int)
-    if n < 1:
-        raise DomainError(f"model document field 'n' must be >= 1, got {n!r}")
     return TensorGlmModel(
         alpha=finite("alpha", field("alpha")),
         gamma=gamma,
@@ -1107,10 +1114,10 @@ def model_from_document(doc):
         phi=phi,
         loglik=finite("loglik", field("loglik")),
         bic=finite("bic", field("bic")),
-        trace=field("trace", lambda v: [float(t) for t in v]),
-        converged=field("converged", bool),
-        restarts_used=field("restarts_used", int),
-        n=n,
+        trace=finite("trace", field("trace", lambda v: [float(t) for t in v])),
+        converged=field("converged", boolean),
+        restarts_used=integer("restarts_used", 1),
+        n=integer("n", 1),
         p0=p0,
         penalty=field("penalty", PenaltySpec.from_dict) if doc.get("penalty") else None,
     )

@@ -93,6 +93,11 @@ def inner(a, b):
     return float(a.data @ b.data)
 
 
+def dataset_tensors(ds):
+    """The tensor covariates of a dataset as a list of DenseTensor."""
+    return [DenseTensor(ds.dims, row) for row in ds.x_matrix()]
+
+
 def raw_parameter_count(dims, rank, p0):
     """Unadjusted count: intercept + covariates + all CP entries."""
     return int(p0) + 1 + int(rank) * int(sum(dims))

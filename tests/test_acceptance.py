@@ -55,6 +55,7 @@ from test_model import (
     normalized_point,
     pack_free_vector,
     random_dataset,
+    with_response,
 )
 
 TRACES = []  # (label, trace) for every fit this suite runs
@@ -141,7 +142,7 @@ def test_criterion_02_derivative_oracles():
             model = make_model(coeff, family=fam, gamma=0.3 * rng.standard_normal(p0), n=30)
             ds = random_dataset(rng, 30, dims, p0=p0)
             y = fam.sample(0.3 * model.linear_predictor(ds), rng)
-            ds = TensorGlmDataset(y, ds.x, ds.z if p0 else None)
+            ds = with_response(ds, y)
             rep = score_and_information(model, ds)
             theta0 = pack_free_vector(model)
             s_fd = fd_gradient(lambda th: loglik_at_free_vector(model, ds, th), theta0)
@@ -268,9 +269,7 @@ def test_criterion_07_neg_hessian_equals_information_at_zero_residuals():
             n=40,
         )
         ds = random_dataset(rng, 40, dims, p0=p0)
-        ds = TensorGlmDataset(
-            model.linear_predictor(ds), ds.x, ds.z if p0 else None
-        )
+        ds = with_response(ds, model.linear_predictor(ds))
         rep = score_and_information(model, ds)
         H = log_density_hessian(model, ds)
         worst = max(

@@ -1,5 +1,6 @@
 """CLI and file-format tests: TNSR round trips, exit codes, determinism."""
 
+import csv
 import json
 import struct
 
@@ -12,6 +13,7 @@ from tensorreg.io import (
     parse_tensor_file,
     read_covariates_csv,
     read_response_csv,
+    write_bic_table_csv,
     write_covariates_csv,
     write_pgm,
     write_response_csv,
@@ -73,13 +75,35 @@ class TestCsvFiles:
          "line 3 has 0 fields, the header has 1"),
         (read_covariates_csv, "z1,z2\n1.0,2.0\n3.0,4.0\n5.0\n",
          "line 4 has 1 fields, the header has 2"),
-    ], ids=["response_extra_field", "response_blank_line", "covariates_ragged"])
+        (read_response_csv, "y\n0.5\njunk\n",
+         "line 3: could not convert string to float: 'junk'"),
+        (read_covariates_csv, "z1,z2\n1.0,2.0\n3.0,junk\n",
+         "line 3: could not convert string to float: 'junk'"),
+    ], ids=["response_extra_field", "response_blank_line", "covariates_ragged",
+            "response_bad_cell", "covariates_bad_cell"])
     def test_row_of_the_wrong_width_names_its_line(self, tmp_path, read, text,
                                                    message):
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"data.csv: {message}$"):
             read(path)
+
+    def test_bic_table_round_trip(self, tmp_path):
+        table = [
+            {"rank": 1, "bic": 12.5, "loglik": -0.1 - 0.2, "converged": True,
+             "error": None},
+            {"rank": 2, "bic": None, "loglik": None, "converged": False,
+             "error": "block 1, cycle 3: design is singular"},
+        ]
+        path = tmp_path / "bic_table.csv"
+        write_bic_table_csv(path, table)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["rank", "bic", "loglik", "converged", "error"],
+            ["1", "12.5", repr(-0.1 - 0.2), "True", ""],
+            ["2", "", "", "False", "block 1, cycle 3: design is singular"],
+        ]
 
     def test_covariates_round_trip(self, tmp_path):
         z = np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0
@@ -287,6 +311,16 @@ class TestCliBenchmark:
              "--max-rank", 2, "--output", tmp_path / "c.csv"]
         )
         assert rc == 1
+
+    def test_rank_or_max_rank_required(self, tmp_path, capsys):
+        rc = run_cli(
+            ["benchmark", "--shape", "square", "--sizes", "100",
+             "--output", tmp_path / "c.csv"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--rank --max-rank" in err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestCliRankSelect:

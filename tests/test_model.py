@@ -44,9 +44,10 @@ from tensorreg.tensor_core import (
     DenseTensor,
     cp_to_full,
     factor_chain_omitting,
+    unstack_vec,
 )
 
-from oracles import inner, mode_d_matricize, raw_parameter_count
+from oracles import dataset_tensors, inner, mode_d_matricize, raw_parameter_count
 
 
 def random_dataset(rng, n, dims, p0=0):
@@ -54,6 +55,11 @@ def random_dataset(rng, n, dims, p0=0):
     z = rng.standard_normal((n, p0)) if p0 else None
     y = rng.standard_normal(n)
     return TensorGlmDataset(y, x, z)
+
+
+def with_response(ds, y):
+    """The dataset ``ds`` with its responses replaced by ``y``."""
+    return TensorGlmDataset(y, unstack_vec(ds.x_matrix(), ds.dims), ds.z)
 
 
 def random_cp(rng, dims, rank):
@@ -139,7 +145,7 @@ class TestBuildBlockDesign:
         coeff = random_cp(rng, (3, 4), 1)
         design = build_block_design(ds, coeff, 1)
         b2 = coeff.factors[1][:, 0]
-        for i, t in enumerate(ds.x):
+        for i, t in enumerate(dataset_tensors(ds)):
             np.testing.assert_allclose(design[i], t.to_array() @ b2, rtol=1e-12)
 
     def test_all_ones_factors_give_mode_sums(self):
@@ -148,7 +154,7 @@ class TestBuildBlockDesign:
         coeff = CpTensor([np.ones((p, 1)) for p in (3, 4, 2)])
         for d in (1, 2, 3):
             design = build_block_design(ds, coeff, d)
-            for i, t in enumerate(ds.x):
+            for i, t in enumerate(dataset_tensors(ds)):
                 axes = tuple(k for k in range(3) if k != d - 1)
                 np.testing.assert_allclose(
                     design[i], t.to_array().sum(axis=axes), rtol=1e-12
@@ -163,7 +169,7 @@ class TestBuildBlockDesign:
         for d in range(1, len(dims) + 1):
             design = build_block_design(ds, coeff, d)
             vec_bd = coeff.factors[d - 1].ravel(order="F")
-            want = [inner(full, t) for t in ds.x]
+            want = [inner(full, t) for t in dataset_tensors(ds)]
             np.testing.assert_allclose(design @ vec_bd, want, rtol=1e-9)
 
     def test_dims_mismatch_rejected(self):
@@ -187,7 +193,8 @@ class TestBuildBlockDesign:
         coeff = random_cp(rng, dims, rank)
         chain = factor_chain_omitting(coeff.factors, d)
         want = np.array(
-            [(mode_d_matricize(t, d) @ chain).ravel(order="F") for t in ds.x]
+            [(mode_d_matricize(t, d) @ chain).ravel(order="F")
+             for t in dataset_tensors(ds)]
         )
         got = build_block_design(ds, coeff, d)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -263,9 +270,10 @@ class TestBuildBlockDesign:
 class TestDatasetLayouts:
     def test_x_matrix_rows_are_vec(self):
         rng = np.random.default_rng(4)
-        ds = random_dataset(rng, 3, (2, 3, 2))
-        xm = ds.x_matrix()
-        for i, t in enumerate(ds.x):
+        tensors = [DenseTensor.from_array(rng.standard_normal((2, 3, 2)))
+                   for _ in range(3)]
+        xm = TensorGlmDataset(np.zeros(3), tensors).x_matrix()
+        for i, t in enumerate(tensors):
             np.testing.assert_array_equal(xm[i], t.data)
 
     def test_parsed_even_d_file_is_held_without_copy(self, tmp_path):
@@ -790,7 +798,7 @@ class TestInference:
         ds = random_dataset(rng, 60, dims, p0=2)
         fam = get_family(family)
         eta = model.linear_predictor(ds)
-        ds = TensorGlmDataset(fam.sample(0.3 * eta, rng), ds.x, ds.z)
+        ds = with_response(ds, fam.sample(0.3 * eta, rng))
         rep = score_and_information(model, ds)
         theta0 = pack_free_vector(model)
         want = fd_gradient(lambda th: loglik_at_free_vector(model, ds, th), theta0)
@@ -805,9 +813,7 @@ class TestInference:
         )
         ds = random_dataset(rng, 50, (3, 2, 2), p0=1)
         fam = get_family(family)
-        ds = TensorGlmDataset(
-            fam.sample(0.3 * model.linear_predictor(ds), rng), ds.x, ds.z
-        )
+        ds = with_response(ds, fam.sample(0.3 * model.linear_predictor(ds), rng))
         H = log_density_hessian(model, ds)
         theta0 = pack_free_vector(model)
         want = fd_hessian(lambda th: loglik_at_free_vector(model, ds, th), theta0)
@@ -818,7 +824,7 @@ class TestInference:
         rng = np.random.default_rng(30)
         model = self._normalized_model(rng, (3, 3), 1, gamma=(0.4, 1.0), n=40)
         ds = random_dataset(rng, 40, (3, 3), p0=2)
-        ds = TensorGlmDataset(model.linear_predictor(ds), ds.x, ds.z)
+        ds = with_response(ds, model.linear_predictor(ds))
         rep = score_and_information(model, ds)
         H = log_density_hessian(model, ds)
         scale = np.abs(rep.information).max()
@@ -859,9 +865,7 @@ class TestInference:
             normalized_point(rng, dims, rank), gamma=(0.3, -0.2), n=n
         )
         ds = random_dataset(rng, n, dims, p0=p0)
-        ds = TensorGlmDataset(
-            model.linear_predictor(ds) + rng.standard_normal(n), ds.x, ds.z
-        )
+        ds = with_response(ds, model.linear_predictor(ds) + rng.standard_normal(n))
         # G: one row per sample, one column per free parameter
         nfree = len(free_parameter_index(dims, rank)[0])
         g_bytes = n * (nfree + 1 + p0) * 8
@@ -978,8 +982,10 @@ class TestModelDocument:
         }
         with pytest.raises(DomainError):
             model_from_document(doc)
-        # a missing field, a non-numeric or nonfinite entry, phi <= 0, n < 1,
-        # or a gamma of the wrong length raises DomainError naming the field
+        # a missing field, a non-numeric or nonfinite entry, a non-integer
+        # count, a non-boolean converged flag, phi <= 0, n < 1,
+        # restarts_used < 1, or a gamma of the wrong length raises
+        # DomainError naming the field
         rng = np.random.default_rng(34)
         good = dict(model_to_document(
             make_model(random_cp(rng, (3, 4), 1), gamma=(0.5, -1.0), n=20)
@@ -994,6 +1000,10 @@ class TestModelDocument:
             ("alpha", inf), ("gamma", [0.5, np.nan]), ("factors", bad_factors),
             ("phi", np.nan), ("phi", 0.0), ("phi", -1.0), ("loglik", -inf),
             ("bic", np.nan), ("n", 0),
+            ("n", 2.5), ("n", True), ("p0", 2.0), ("rank", 1.0),
+            ("restarts_used", 2.7), ("restarts_used", -3), ("restarts_used", 0),
+            ("converged", "false"), ("converged", 1), ("trace", [np.nan]),
+            ("trace", [0.0, -inf]),
         ]
         for key, value in bad_values:
             doc = dict(good, **{key: value})
