@@ -141,12 +141,19 @@ def _require_finite_tensors(vecs, dims):
 
 
 def _require_valid_fit_data(dataset, family):
-    """Raise DomainError for a nonfinite y or z, or a y outside the family's support."""
+    """Raise DomainError for a nonfinite y or z, a z whose columns are
+    collinear with the intercept, or a y outside the family's support."""
     for name, a in (("y", dataset.y), ("z", dataset.z)):
         bad = np.argwhere(~np.isfinite(a))
         if bad.size:
             at = ", ".join(str(int(k)) for k in bad[0])
             raise DomainError(f"{name}[{at}] is {a[tuple(bad[0])]}: {name} must be finite")
+    rank = np.linalg.matrix_rank(np.column_stack([np.ones(dataset.n), dataset.z]))
+    if rank <= dataset.p0:
+        raise DomainError(
+            f"z is collinear with the intercept: [1, z] has rank {rank} of "
+            f"{dataset.p0 + 1} columns"
+        )
     outside = np.flatnonzero(~family.in_support(dataset.y))
     if outside.size:
         i = int(outside[0])
@@ -411,8 +418,8 @@ def _penalty_total(spec, factors):
 
 
 def _require_enough_observations(dataset, config):
-    """Raise DomainError when an unpenalized block has no more observations
-    than parameters."""
+    """Raise DomainError when an unpenalized block, or the unpenalized
+    model as a whole, has no more observations than parameters."""
     if config.penalty is not None and config.penalty.rho != 0.0:
         return
     n, R, p0 = dataset.n, config.rank, dataset.p0
@@ -422,6 +429,12 @@ def _require_enough_observations(dataset, config):
                 f"n={n} too small for an unpenalized rank-{R} fit: block {d} "
                 f"needs more than {p * R + p0 + 1} observations"
             )
+    p_e = effective_parameters(dataset.dims, R, p0)
+    if n <= p_e:
+        raise DomainError(
+            f"n={n} too small for an unpenalized rank-{R} fit: it has {p_e} "
+            f"effective parameters"
+        )
 
 
 def _starts(config, init_factors=None):
@@ -499,10 +512,6 @@ def _fit_lockstep(dataset, family, starts):
     # every cycle.
     selfcheck = os.environ.get("TENSORREG_SELFCHECK") == "1"
 
-    def objective(run):
-        ll = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
-        return ll - _penalty_total(run.config.penalty, run.factors)
-
     def solve_block(run, d, design):
         spec = run.config.penalty
         warm = run.factors[d - 1].ravel(order="F")
@@ -532,7 +541,9 @@ def _fit_lockstep(dataset, family, starts):
         agfit = irls_fit(zdesign, y, family, offset=run.eta_tensor, start=run.ag)
         run.ag = agfit.coefficients
         run.offset_ag = zdesign @ run.ag
-        obj = objective(run)
+        # the solve's last trace entry is the log-likelihood at the new
+        # (alpha, gamma), with eta summed as the initial objective sums it
+        obj = agfit.trace[-1] - _penalty_total(run.config.penalty, run.factors)
         run.trace.append(obj)
         eps = run.config.epsilon
         threshold = eps if eps is not None else 1e-6 * (1.0 + abs(obj))
@@ -577,7 +588,8 @@ def _fit_lockstep(dataset, family, starts):
     vecs = [cp_to_full(CpTensor(run.factors)).data for run in runs]
     for run, eta in zip(runs, (x @ np.column_stack(vecs)).T):
         run.eta_tensor = eta
-        run.trace.append(objective(run))
+        ll = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
+        run.trace.append(ll - _penalty_total(run.config.penalty, run.factors))
 
     running = list(runs)
     # one buffer for every block design of the loop: a fresh array per
@@ -662,8 +674,10 @@ def fit(dataset, family, config, init_factors=None):
     ``init_factors`` optionally pins the starting factors of the first
     restart (used e.g. to study sensitivity to initialization).
 
-    Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``
-    and for a ``y`` outside the family's support.  When every restart
+    Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``,
+    a ``z`` collinear with the intercept, a ``y`` outside the family's
+    support, and an unpenalized fit with n at most its effective
+    parameters, or at most one factor block's plus 1 + p0.  When every restart
     fails, FitConvergenceError carries the objective trace of the restart
     that ran the most cycles.
     """
@@ -743,8 +757,9 @@ def select_rank(dataset, family, max_rank, config):
 
     The restarts of every rank run in one lockstep fit, and each rank's
     model is the best of its own restarts, as in :func:`fit`.  Ties break
-    toward the smaller rank.  Ranks whose fit fails are recorded in the
-    table and skipped.
+    toward the smaller rank.  Ranks whose fit fails, or that :func:`fit`
+    would reject for too few observations, are recorded in the table and
+    skipped; when no rank is left, the error names the first rank's.
     """
     _require_int("max_rank", max_rank, 1)
     # bad input is no per-rank failure: raise it instead of tabulating it
@@ -782,7 +797,9 @@ def select_rank(dataset, family, max_rank, config):
         if best is None or res.bic < best.bic:
             best = res
     if best is None:
-        raise FitConvergenceError("no rank produced a model", best_trace=[])
+        raise FitConvergenceError(
+            f"no rank produced a model: {table[0]['error']}", best_trace=[]
+        )
     return best, table
 
 

@@ -9,7 +9,7 @@ geometry is fixed here, parameterized only by the image side length.
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +45,9 @@ SHAPE_NAMES = ("square", "t_shape", "cross", "disk", "triangle", "butterfly")
 # Link-scale factors applied inside the mean function when simulating
 # non-normal responses, keeping them in a well-conditioned regime.
 DEFAULT_ETA_SCALE = {"normal": 1.0, "bernoulli": 0.1, "poisson": 0.01}
+
+# Half period, in entries, of the sine window of a 3D ball's factor columns.
+HALF_PERIOD = 14
 
 STUDY_COLUMNS = ("shape", "n", "param", "mean_rmse", "sd_rmse", "rank_selected_mode")
 
@@ -136,24 +139,22 @@ def generate_shape(spec):
     return DenseTensor.from_array(mask)
 
 
-def generate_ball_signal(dims, centers, half_period=14):
+def generate_ball_signal(dims, centers):
     """CP factors whose columns carry sine half-period windows.
 
     Each ball r contributes one factor column per mode, zero except for a
-    window of ``half_period + 1`` entries ``sin(j pi / half_period)``,
-    j = 0..half_period, starting at that ball's offset.  ``centers`` is a
+    window of ``HALF_PERIOD + 1`` entries ``sin(j pi / HALF_PERIOD)``,
+    j = 0..HALF_PERIOD, starting at that ball's offset.  ``centers`` is a
     sequence of per-ball offsets, each either one integer (reused for all
     modes) or a per-mode sequence.  The rendered dense signal is a
     smooth blob per ball.
     """
     dims = tuple(int(p) for p in dims)
-    if half_period < 2:
-        raise DomainError("half_period must be at least 2")
-    window = half_period + 1
+    window = HALF_PERIOD + 1
     R = len(centers)
     if R < 1:
         raise DomainError("need at least one ball")
-    profile = np.sin(np.arange(window) * np.pi / half_period)
+    profile = np.sin(np.arange(window) * np.pi / HALF_PERIOD)
     factors = [np.zeros((p, R)) for p in dims]
     for r, center in enumerate(centers):
         if np.isscalar(center):
@@ -186,7 +187,6 @@ class SimSpec:
     family: GlmFamily | str
     n: int
     seed: int
-    eta_scale: float | None = None
 
     def __post_init__(self):
         self.family = get_family(self.family)
@@ -194,15 +194,13 @@ class SimSpec:
         _require_int("n", self.n, 1)
         if not isinstance(self.seed, np.random.SeedSequence):
             _require_int("seed", self.seed, 0)
-        if self.eta_scale is None:
-            self.eta_scale = DEFAULT_ETA_SCALE[self.family.name]
 
 
 def simulate(spec):
     """Draw a dataset from the model: standard-normal Z and X entries,
     ``eta = gamma'z + <B, x>``, response from the family with the link
-    evaluated at ``eta_scale * eta``.  Fixed seed gives an identical
-    dataset on every call."""
+    evaluated at ``DEFAULT_ETA_SCALE[family] * eta``.  Fixed seed gives an
+    identical dataset on every call."""
     rng = np.random.default_rng(spec.seed)
     n, p0 = spec.n, spec.gamma.size
     dims = spec.signal.dims
@@ -211,7 +209,7 @@ def simulate(spec):
     eta = x.reshape(n, -1) @ spec.signal.to_array().ravel()
     if p0:
         eta = eta + z @ spec.gamma
-    y = spec.family.sample(spec.eta_scale * eta, rng)
+    y = spec.family.sample(DEFAULT_ETA_SCALE[spec.family.name] * eta, rng)
     return TensorGlmDataset(y, x, z if p0 else None)
 
 
@@ -246,6 +244,28 @@ def count_trace_violations(trace, slack=1e-10):
     return int(drops.sum())
 
 
+def _replicate(signal, gamma, family, config, max_rank, n, seq):
+    """One study replicate drawn from ``seq``: its error text, or
+    ``(rmse_gamma, rmse_B, rank, trace_violations)``."""
+    data_seq, fit_seq = seq.spawn(2)
+    dataset = simulate(SimSpec(signal=signal, gamma=gamma, family=family, n=n,
+                               seed=data_seq))
+    cfg = replace(config, seed=int(fit_seq.generate_state(1)[0]))
+    try:
+        if max_rank is None:
+            model = fit(dataset, family, cfg)
+        else:
+            model, _ = select_rank(dataset, family, max_rank, cfg)
+    except TensorRegError as err:
+        return str(err)
+    return (
+        rmse(model.gamma, gamma),
+        rmse(cp_to_full(model.coeff).data, signal.data),
+        model.rank,
+        count_trace_violations(model.trace),
+    )
+
+
 def run_consistency_study(shape, n_grid, replicates, family, config, *,
                           gamma=None, max_rank=None):
     """Replicated simulate-fit-evaluate sweep over a sample-size grid.
@@ -255,81 +275,42 @@ def run_consistency_study(shape, n_grid, replicates, family, config, *,
     selection up to ``max_rank``), and aggregates RMSE for gamma and for
     the coefficient image.  Per-replicate failures are recorded, not
     fatal.  Replicates own independent RNG streams spawned from
-    ``config.seed``, so results are reproducible and order-independent.
+    ``config.seed``, so results are reproducible and order-independent;
+    the replicates of every n run as one task list on one worker pool.
     """
     # a bad study argument is no per-replicate failure: raise it up front
     _require_int("replicates", replicates, 2)
     if max_rank is not None:
         _require_int("max_rank", max_rank, 1)
+    n_grid = [_require_int("n", n, 1) for n in n_grid]
     if isinstance(shape, str):
         shape = ShapeSpec(shape)
     family = get_family(family)
     signal = generate_shape(shape)
-    if gamma is None:
-        gamma = np.ones(5)
+    gamma = np.ones(5) if gamma is None else gamma
     gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
 
-    root = np.random.SeedSequence(config.seed)
-    grid_seqs = root.spawn(len(n_grid))
-    rows = []
-    failures = []
-    violations = 0
-    for n, n_seq in zip(n_grid, grid_seqs):
-        rep_seqs = n_seq.spawn(replicates)
-
-        def one(rep):
-            def task():
-                data_seq, fit_seq = rep_seqs[rep].spawn(2)
-                sim = SimSpec(
-                    signal=signal,
-                    gamma=gamma,
-                    family=family,
-                    n=n,
-                    seed=data_seq,
-                )
-                dataset = simulate(sim)
-                cfg = replace(config, seed=int(fit_seq.generate_state(1)[0]))
-                try:
-                    if max_rank is None:
-                        model = fit(dataset, family, cfg)
-                    else:
-                        model, _ = select_rank(dataset, family, max_rank, cfg)
-                except TensorRegError as err:
-                    return ("error", rep, str(err))
-                b_hat = cp_to_full(model.coeff).data
-                return (
-                    "ok",
-                    rep,
-                    rmse(model.gamma, gamma),
-                    rmse(b_hat, signal.data),
-                    model.rank,
-                    count_trace_violations(model.trace),
-                )
-
-            return task
-
-        with _worker_pool(max_workers()) as run:
-            results = run([one(r) for r in range(replicates)])
-        oks = sorted(r for r in results if r[0] == "ok")
-        failures.extend((n, r[1], r[2]) for r in results if r[0] == "error")
-        violations += sum(r[5] for r in oks)
+    grid_seqs = np.random.SeedSequence(config.seed).spawn(len(n_grid))
+    tasks = [
+        functools.partial(_replicate, signal, gamma, family, config, max_rank, n, seq)
+        for n, n_seq in zip(n_grid, grid_seqs)
+        for seq in n_seq.spawn(replicates)
+    ]
+    with _worker_pool(max_workers()) as run:
+        results = run(tasks)
+    rows, failures, violations = [], [], 0
+    for k, n in enumerate(n_grid):
+        reps = results[k * replicates : (k + 1) * replicates]
+        failures += [(n, rep, r) for rep, r in enumerate(reps) if isinstance(r, str)]
+        oks = [r for r in reps if not isinstance(r, str)]
         if not oks:
             continue
-        g_err = np.array([r[2] for r in oks])
-        b_err = np.array([r[3] for r in oks])
-        ranks = [r[4] for r in oks]
-        counts = Counter(ranks)
-        top = max(counts.values())
-        mode_rank = min(rk for rk, cnt in counts.items() if cnt == top)
-        for param, err in (("gamma", g_err), ("B", b_err)):
-            rows.append(
-                {
-                    "shape": shape.name,
-                    "n": int(n),
-                    "param": param,
-                    "mean_rmse": float(err.mean()),
-                    "sd_rmse": float(err.std(ddof=1)),
-                    "rank_selected_mode": int(mode_rank),
-                }
-            )
+        g_err, b_err, ranks, drops = zip(*oks)
+        violations += sum(drops)
+        # the most frequent rank, the smallest one on ties
+        mode_rank = min(ranks, key=lambda r: (-ranks.count(r), r))
+        for param, err in (("gamma", np.array(g_err)), ("B", np.array(b_err))):
+            values = (shape.name, n, param, float(err.mean()),
+                      float(err.std(ddof=1)), mode_rank)
+            rows.append(dict(zip(STUDY_COLUMNS, values)))
     return StudyResult(rows=rows, failures=failures, trace_violations=violations)

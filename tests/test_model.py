@@ -536,6 +536,29 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(ds, "normal", FitConfig(rank=3, restarts=1))
 
+    def test_more_effective_parameters_than_observations_rejected(self):
+        # every block of rank 3 needs only n > 16 * 3 + 3, but p_e = 90
+        ds = random_dataset(np.random.default_rng(48), 80, (16, 16), p0=2)
+        with pytest.raises(DomainError, match="n=80 .* 90 effective parameters"):
+            fit(ds, "normal", FitConfig(rank=3, restarts=1))
+
+    def test_covariates_collinear_with_the_intercept_rejected(self):
+        rng = np.random.default_rng(49)
+        z = np.column_stack([rng.standard_normal(200), np.ones(200)])
+        ds = TensorGlmDataset(rng.standard_normal(200),
+                              rng.standard_normal((200, 6, 6)), z)
+        with pytest.raises(DomainError, match=r"z .*\[1, z\] has rank 2 of 3"):
+            fit(ds, "normal", FitConfig(rank=1, restarts=2))
+
+    def test_image_row_zero_in_every_sample_names_the_block(self):
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((100, 6, 6))
+        x[:, 0, :] = 0.0
+        ds = TensorGlmDataset(rng.standard_normal(100), x)
+        with pytest.raises(FitConvergenceError, match="design matrix in block 1 "
+                           "has 6 columns but numerical rank 5"):
+            fit(ds, "normal", FitConfig(rank=1, restarts=2))
+
     def test_tiny_scale_matches_unstructured_glm_projection(self):
         # At dims (2,2), R=1, both the tensor fit and "OLS on vec(X) then
         # best rank-1 projection" estimate the same four coefficients.
@@ -603,8 +626,25 @@ class TestBicAndSelection:
     def test_select_rank_with_no_feasible_rank_raises(self):
         rng = np.random.default_rng(46)
         ds = random_dataset(rng, 5, (4, 4))
-        with pytest.raises(FitConvergenceError, match="no rank produced a model"):
+        with pytest.raises(FitConvergenceError, match="no rank produced a model: "
+                           "n=5 too small for an unpenalized rank-1 fit"):
             select_rank(ds, "normal", 2, FitConfig(restarts=1))
+
+    def test_rank_with_more_effective_parameters_than_observations_fails(self):
+        # rank 3 passes every block check (n > 51) but has p_e = 90 > n = 80
+        ds = random_dataset(np.random.default_rng(51), 80, (16, 16), p0=2)
+        model, table = select_rank(ds, "normal", 3, FitConfig(restarts=2, seed=1))
+        assert [row["error"] is None for row in table] == [True, True, False]
+        assert "90 effective parameters" in table[2]["error"]
+        assert model.rank <= 2
+
+    def test_collinear_covariates_rejected_before_any_rank(self):
+        rng = np.random.default_rng(52)
+        z = np.column_stack([rng.standard_normal(200), np.ones(200)])
+        ds = TensorGlmDataset(rng.standard_normal(200),
+                              rng.standard_normal((200, 6, 6)), z)
+        with pytest.raises(DomainError, match=r"\[1, z\] has rank 2 of 3"):
+            select_rank(ds, "normal", 2, FitConfig(restarts=2))
 
     def test_select_rank_pure_noise_prefers_rank1(self):
         rng = np.random.default_rng(19)

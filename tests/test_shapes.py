@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensorreg.errors import DomainError
+from tensorreg.glm import get_family
 from tensorreg.model import FitConfig
 from tensorreg.shapes import (
     SHAPE_NAMES,
@@ -115,14 +116,19 @@ class TestSimulate:
 
     def test_family_link_scales(self):
         signal = generate_shape(ShapeSpec("square", 16))
-        bern = SimSpec(signal=signal, gamma=np.ones(2), family="bernoulli", n=10, seed=1)
-        pois = SimSpec(signal=signal, gamma=np.ones(2), family="poisson", n=10, seed=1)
-        assert bern.eta_scale == 0.1
-        assert pois.eta_scale == 0.01
-        ds = simulate(bern)
-        assert set(np.unique(ds.y)) <= {0.0, 1.0}
-        ds = simulate(pois)
-        assert np.all(ds.y >= 0) and np.allclose(ds.y, np.round(ds.y))
+        for family, scale in (("bernoulli", 0.1), ("poisson", 0.01)):
+            ds = simulate(SimSpec(signal=signal, gamma=np.ones(2), family=family,
+                                  n=10, seed=1))
+            # the same draw by hand, the response at scale * eta
+            rng = np.random.default_rng(1)
+            z = rng.standard_normal((10, 2))
+            x = rng.standard_normal((10, 16, 16))
+            eta = x.reshape(10, -1) @ signal.to_array().ravel() + z @ np.ones(2)
+            np.testing.assert_array_equal(ds.y, get_family(family).sample(scale * eta, rng))
+            if family == "bernoulli":
+                assert set(np.unique(ds.y)) <= {0.0, 1.0}
+            else:
+                assert np.all(ds.y >= 0) and np.allclose(ds.y, np.round(ds.y))
 
 
     @pytest.mark.parametrize("field,value,message", [
@@ -208,9 +214,10 @@ class TestStudyHarness:
             )
 
     @pytest.mark.parametrize("kwargs,message", [
-        (dict(replicates=2.5), "replicates must be an integer"),
-        (dict(replicates=2, max_rank=1.5), "max_rank must be an integer"),
-        (dict(replicates=2, max_rank=0), "max_rank must be >= 1"),
+        (dict(n_grid=[60], replicates=2.5), "replicates must be an integer"),
+        (dict(n_grid=[60], replicates=2, max_rank=1.5), "max_rank must be an integer"),
+        (dict(n_grid=[60], replicates=2, max_rank=0), "max_rank must be >= 1"),
+        (dict(n_grid=[60, 0], replicates=2), "n must be >= 1"),
     ])
     def test_bad_study_arguments_raise_before_any_replicate(self, monkeypatch,
                                                             kwargs, message):
@@ -221,10 +228,47 @@ class TestStudyHarness:
         with pytest.raises(DomainError, match=message):
             run_consistency_study(
                 ShapeSpec("square", 16),
-                n_grid=[60],
                 family="normal",
                 config=FitConfig(rank=1),
                 **kwargs,
             )
         assert not drawn
+
+    def test_one_worker_pool_per_study(self, monkeypatch):
+        import tensorreg.shapes as shapes
+
+        entered = []
+        inner = shapes._worker_pool
+
+        def counting(workers):
+            entered.append(workers)
+            return inner(workers)
+
+        monkeypatch.setattr(shapes, "_worker_pool", counting)
+        run_consistency_study(ShapeSpec("square", 16), n_grid=[120, 160],
+                              replicates=2, family="normal",
+                              config=FitConfig(rank=1, restarts=1, seed=5),
+                              gamma=np.ones(2))
+        assert len(entered) == 1
+
+    @staticmethod
+    def study_at(monkeypatch, threads, **kwargs):
+        monkeypatch.setenv("TENSORREG_THREADS", str(threads))
+        return run_consistency_study(ShapeSpec("square", 16), replicates=2,
+                                     family="normal", gamma=np.ones(2), **kwargs)
+
+    def test_infeasible_size_is_logged_and_left_out_of_the_rows(self, monkeypatch):
+        kwargs = dict(n_grid=[10, 150], config=FitConfig(rank=1, restarts=1, seed=3))
+        one, two = (self.study_at(monkeypatch, t, **kwargs) for t in (1, 2))
+        assert (one.rows, one.failures) == (two.rows, two.failures)
+        assert [row["n"] for row in one.rows] == [150, 150]
+        assert [(n, rep) for n, rep, _ in one.failures] == [(10, 0), (10, 1)]
+        assert all("n=10 too small" in msg for _, _, msg in one.failures)
+
+    def test_max_rank_study_selects_by_bic(self, monkeypatch):
+        kwargs = dict(n_grid=[150], config=FitConfig(restarts=1, seed=4), max_rank=2)
+        one, two = (self.study_at(monkeypatch, t, **kwargs) for t in (1, 2))
+        assert (one.rows, one.failures) == (two.rows, two.failures)
+        assert not one.failures
+        assert [row["rank_selected_mode"] for row in one.rows] == [1, 1]
 
