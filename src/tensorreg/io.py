@@ -189,10 +189,17 @@ def write_bic_table_csv(path, table):
 
 
 def write_pgm(path, matrix, comment=""):
-    """Write a matrix as an 8-bit binary PGM, min-max scaled per image."""
+    """Write a matrix as an 8-bit binary PGM, min-max scaled per image.
+
+    A NaN or infinite entry is a DomainError naming its index.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DomainError(f"PGM needs a 2-d array, got ndim={m.ndim}")
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), m.shape)
+        raise DomainError(f"PGM entry ({i}, {j}) is {m[i, j]}, not finite")
     lo, hi = float(m.min()), float(m.max())
     scaled = np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
     pixels = np.round(255.0 * scaled).astype(np.uint8)

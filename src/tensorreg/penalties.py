@@ -205,7 +205,7 @@ def threshold_update(spec, z, quad_weight):
     in ``z`` for every family.
     """
     w = np.asarray(quad_weight, dtype=np.float64)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):  # also catches NaN
         raise DomainError(f"quad_weight must be positive, got {quad_weight}")
     z = np.asarray(z, dtype=np.float64)
     rule = spec.threshold_rule()

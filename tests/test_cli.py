@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tensorreg.cli import main
-from tensorreg.errors import ParseError
+from tensorreg.errors import DomainError, ParseError
 from tensorreg.io import (
     parse_tensor_file,
     read_covariates_csv,
@@ -124,6 +124,16 @@ class TestPgm:
         header, pixels = blob.rsplit(b"255\n", 1)
         assert b"2 2" in header
         assert pixels == bytes([0, 64, 128, 255])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_is_named_and_nothing_written(self, tmp_path, value):
+        m = np.arange(12.0).reshape(3, 4)
+        m[1, 2] = value
+        m[2, 0] = np.nan
+        path = tmp_path / "img.pgm"
+        with pytest.raises(DomainError, match=r"entry \(1, 2\)"):
+            write_pgm(path, m)
+        assert not path.exists()
 
 
 def run_cli(args):

@@ -3,7 +3,7 @@ penalized coordinate descent against soft-threshold/ridge oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensorreg.glm as glm
@@ -519,9 +519,13 @@ def assert_kkt(G, cvec, b, spec, atol):
     assert np.all(np.abs(r[off]) <= a1 + atol)
 
 
-def quadratic_problem(seed, n, p):
+def quadratic_problem(seed, n, p, collinear=False):
+    """A random quadratic; ``collinear`` repeats column 0 as the last one,
+    so that G is singular when p >= 2."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
+    if collinear:
+        X[:, -1] = X[:, 0]
     return rng, X.T @ X, X.T @ (3.0 * rng.standard_normal(n))
 
 
@@ -550,8 +554,9 @@ class TestCoordinateDescent:
         assert_kkt(G, cvec, got, spec, atol=1e-9 * scale)
 
     def test_rejected_candidate_still_reaches_the_optimum(self, monkeypatch):
-        # On this correlated design the sweeps hold wrong sign patterns for
-        # a sweep each before the right one, and their candidates fail.
+        # With the active-set search switched off, the sweeps on this
+        # correlated design hold wrong sign patterns for a sweep each
+        # before the right one, and their candidates fail.
         rng, G, cvec = quadratic_problem(3, 12, 8)
         G += 30.0 * np.outer(np.ones(8), np.ones(8))
         spec = PenaltySpec("lasso", 0.2 * np.abs(cvec).max())
@@ -559,10 +564,11 @@ class TestCoordinateDescent:
         finish = glm._exact_finish
 
         def recording(*args):
-            cand = finish(*args)
+            cand, signs = finish(*args)
             outcomes.append(cand is not None)
-            return cand
+            return cand, signs
 
+        monkeypatch.setattr(glm, "_MAX_PATTERNS", 0)
         monkeypatch.setattr(glm, "_exact_finish", recording)
         got = glm._cd_on_quadratic(G, cvec, np.zeros(8), spec, tol=1e-12,
                                    max_sweeps=1000)
@@ -570,6 +576,72 @@ class TestCoordinateDescent:
         want = plain_cd(G, cvec, np.zeros(8), spec)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
         assert_kkt(G, cvec, got, spec, atol=1e-9 * np.abs(G).max())
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(1, 16),
+        family=st.sampled_from(["lasso", "ridge", "elastic_net"]),
+        lam=st.floats(1.0, 2.0),
+        rho_share=st.floats(0.01, 1.2),
+        warm=st.booleans(),
+        collinear=st.booleans(),
+    )
+    # a singular G_AA whose LU solution is huge; an elastic net with a1 of
+    # 2e-15, where a point off its pattern passes the threshold pass; a
+    # lasso at its knot; sweeps that creep along a repeated column
+    @example(seed=2, p=2, extra_rows=7, family="lasso", lam=1.0,
+             rho_share=0.015625, warm=True, collinear=True)
+    @example(seed=0, p=5, extra_rows=1, family="elastic_net",
+             lam=1.9999999999999998, rho_share=1.0, warm=False, collinear=False)
+    @example(seed=670, p=1, extra_rows=1, family="lasso", lam=1.0,
+             rho_share=1.0, warm=False, collinear=False)
+    @example(seed=500, p=2, extra_rows=9, family="lasso", lam=1.0,
+             rho_share=0.01171875, warm=True, collinear=True)
+    def test_pattern_search_returns_what_the_sweeps_return(
+        self, seed, p, extra_rows, family, lam, rho_share, warm, collinear
+    ):
+        rng, G, cvec = quadratic_problem(seed, 2 * p + extra_rows, p, collinear)
+        rho = rho_share * np.abs(cvec).max()
+        spec = PenaltySpec(family, rho, lam if family == "elastic_net" else None)
+        beta0 = rng.standard_normal(p) if warm else np.zeros(p)
+        # Sweeps from a warm start of mixed signs on a repeated column creep
+        # by 2 a1 / G_jj each, so they get the reference's sweep budget.
+        got = glm._cd_on_quadratic(G, cvec, beta0, spec, tol=1e-12,
+                                   max_sweeps=20_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "_MAX_PATTERNS", 0)
+            swept = glm._cd_on_quadratic(G, cvec, beta0, spec, tol=1e-12,
+                                         max_sweeps=20_000)
+        if not collinear or p == 1:
+            # positive definite: one minimizer, reached on the same pattern
+            assert np.array_equal(got, swept)
+        scale = 1.0 + np.abs(G).max() * (1.0 + np.abs(got).max())
+        for b in (got, swept):
+            assert_kkt(G, cvec, b, spec, atol=1e-9 * scale)
+
+    # the lasso zeroes a leading factor entry, which normalization reports
+    @pytest.mark.filterwarnings("ignore::tensorreg.errors.DegenerateNormalizationWarning")
+    @pytest.mark.parametrize("penalty", [PenaltySpec("lasso", 8.0),
+                                         PenaltySpec("elastic_net", 6.0, 1.5)],
+                             ids=["lasso", "elastic_net"])
+    def test_fits_are_bit_identical_without_the_pattern_search(self, monkeypatch,
+                                                                penalty):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((120, 6, 5))
+        signal = np.zeros((6, 5))
+        signal[1:4, 1:3] = 1.0
+        y = np.tensordot(x, signal, axes=2) + rng.standard_normal(120)
+        ds = TensorGlmDataset(y, x, rng.standard_normal((120, 2)))
+        cfg = FitConfig(rank=2, restarts=2, seed=4, penalty=penalty)
+        with_search = fit(ds, "normal", cfg)
+        monkeypatch.setattr(glm, "_MAX_PATTERNS", 0)
+        sweeps_only = fit(ds, "normal", cfg)
+        for a, b in zip(with_search.coeff.factors, sweeps_only.coeff.factors):
+            assert np.array_equal(a, b)
+        assert with_search.trace == sweeps_only.trace
+        assert np.count_nonzero(with_search.coeff.factors[0] == 0.0) > 0
 
 
 class TestDivergence:

@@ -178,6 +178,13 @@ class TestThresholdUpdate:
         with pytest.raises(DomainError):
             threshold_update(PenaltySpec("lasso", 1.0), [1.0, 2.0], [1.0, -1.0])
 
+    def test_nan_weight_rejected(self):
+        spec = PenaltySpec("lasso", 1.0)
+        with pytest.raises(DomainError, match="must be positive"):
+            threshold_update(spec, 2.0, np.nan)
+        with pytest.raises(DomainError, match="must be positive"):
+            threshold_update(spec, [1.0, 2.0], [1.0, np.nan])
+
     @pytest.mark.parametrize(
         "spec,piece",
         [
