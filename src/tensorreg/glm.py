@@ -29,12 +29,10 @@ _MIN_WEIGHT = 1e-10
 # Cholesky pivots below this share of the largest one send a weighted least
 # squares step to the SVD solve, which determines the numerical rank.
 _PIVOT_RATIO = 1e-6
-# Caps on the coordinate-descent sweeps of one penalized quadratic step, on
-# the sign patterns its active-set search tries before them, and on the
-# starting points a nonconvex penalty's block solve is tried from.
+# Caps on the coordinate-descent sweeps of one penalized quadratic step and
+# on the sign patterns its active-set search tries before them.
 _MAX_SWEEPS = 1000
 _MAX_PATTERNS = 8
-_NONCONVEX_STARTS = 3
 
 
 def expit(x):
@@ -58,7 +56,10 @@ class GlmFamily:
     ``a(phi)`` and the log-density constant ``c(y, phi)``.  The link is
     canonical, so the natural parameter is ``eta`` itself, and the
     derivatives of the log-likelihood in ``eta`` are ``(y - mu) / a(phi)``
-    and ``-V(mu) / a(phi)``.
+    and ``-V(mu) / a(phi)``.  :meth:`b_and_mean` gives ``b`` and ``mu``
+    together, from one pass over ``eta``: the IRLS kernel evaluates each
+    iterate with it once, for its log-likelihood and its next working
+    response.
     """
 
     name = "?"
@@ -77,6 +78,11 @@ class GlmFamily:
 
     def mean(self, eta):
         """Mean function ``mu(eta) = b'(eta)``."""
+        raise NotImplementedError
+
+    def b_and_mean(self, eta):
+        """``(b(eta), mu(eta))``, sharing the work of the two; an overflow
+        of either is not an error."""
         raise NotImplementedError
 
     def variance(self, mu):
@@ -113,6 +119,11 @@ class NormalFamily(GlmFamily):
     def mean(self, eta):
         return np.asarray(eta, dtype=np.float64)
 
+    def b_and_mean(self, eta):
+        eta = np.asarray(eta, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            return 0.5 * np.square(eta), eta
+
     def variance(self, mu):
         return np.ones_like(np.asarray(mu, dtype=np.float64))
 
@@ -133,6 +144,14 @@ class BernoulliFamily(GlmFamily):
 
     def mean(self, eta):
         return expit(eta)
+
+    def b_and_mean(self, eta):
+        # one exp for both: log(1 + exp(eta)) = max(eta, 0) + log1p(e), and
+        # the mean is expit's, with e = exp(-|eta|)
+        with np.errstate(under="ignore"):
+            e = np.exp(-np.abs(eta))
+        mu = np.where(eta < 0.0, e, 1.0) / (1.0 + e)
+        return np.maximum(eta, 0.0) + np.log1p(e), mu
 
     def variance(self, mu):
         return mu * (1.0 - mu)
@@ -157,6 +176,11 @@ class PoissonFamily(GlmFamily):
 
     def mean(self, eta):
         return np.exp(eta)
+
+    def b_and_mean(self, eta):
+        with np.errstate(over="ignore"):
+            mu = np.exp(eta)
+        return mu, mu
 
     def variance(self, mu):
         return np.asarray(mu, dtype=np.float64)
@@ -214,18 +238,19 @@ class GlmFit:
     """Result of a (penalized) GLM fit.
 
     ``trace`` holds the objective (log-likelihood at unit dispersion, less
-    the penalty) at every iterate, and ``eta`` the linear predictor of the
-    last one.  ``restart_selected`` reports which start won when a
-    nonconvex penalty was solved from multiple starts.  The kernel
-    estimates no dispersion: the tensor model does that once, for the
-    model it keeps.
+    the penalty) at every iterate; ``eta`` and ``loglik`` are the linear
+    predictor and the log-likelihood of the last one, which a caller can
+    hand to the next solve from the same point.  ``halvings`` counts the
+    step-halvings of every iteration together.  The kernel estimates no
+    dispersion: the tensor model does that once, for the model it keeps.
     """
 
     coefficients: np.ndarray
     iterations: int
     converged: bool
-    restart_selected: int | None = None
     eta: np.ndarray = field(default=None, repr=False)
+    loglik: float = None
+    halvings: int = 0
     trace: list = field(default_factory=list, repr=False)
 
 
@@ -310,7 +335,32 @@ def _least_squares_step(X, w, z, beta, first):
     return step
 
 
-def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
+def _as_held(held, n):
+    """``held`` as ``(eta, loglik)``, with ``eta`` a vector of ``n`` entries."""
+    eta, loglik = held
+    eta = np.asarray(eta, dtype=np.float64).reshape(-1)
+    if eta.size != n:
+        raise DomainError(f"held eta has {eta.size} entries for {n} observations")
+    return eta, float(loglik)
+
+
+def _loglik_and_mean(family, y, eta, const):
+    """Log-likelihood at unit dispersion and mean at ``eta``: the kernel's
+    one evaluation of an iterate.
+
+    ``const`` is ``sum_i c(y_i, 1)``, summed once per solve.  The result is
+    :func:`log_likelihood`'s, without its checks of the shapes, which the
+    kernel fixed when it set up the problem.  An overflow of ``b`` (a
+    poisson mean beyond the float range) gives a log-likelihood of -inf
+    without a warning, as there.
+    """
+    if not np.isfinite(eta).all():
+        raise DomainError("nonfinite linear predictor")
+    b, mu = family.b_and_mean(eta)
+    return float(np.sum(y * eta - b) + const), mu
+
+
+def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
     """Maximize ``loglik - penalty(beta)`` by IRLS from ``beta``.
 
     Each iteration forms the working response ``z`` and weights ``w`` at
@@ -324,35 +374,47 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
     way.  When the log-likelihood is quadratic in eta an undamped step is
     exact and the loop stops there.  ``penalty`` is None for a plain fit.
 
+    Every evaluated point costs one :func:`_loglik_and_mean`, whose mean
+    forms the next working response.  ``held``, the ``(eta, loglik)`` of
+    ``beta``, replaces the evaluation of the start, so that a call costs
+    one evaluation per iteration and halving.
+
     Returns a GlmFit whose trace holds the objective at every iterate,
     with ``converged`` False when ``max_iter`` ran out.
     """
+    const = float(np.sum(family.c(y, 1.0)))
 
-    def objective(beta):
+    def evaluate(beta):
         eta = X @ beta + offset
-        ll = log_likelihood(family, y, eta, 1.0)
-        return eta, ll if penalty is None else ll - penalty(beta)
+        ll, mu = _loglik_and_mean(family, y, eta, const)
+        return eta, mu, ll, ll if penalty is None else ll - penalty(beta)
 
-    eta, obj = objective(beta)
+    if held is None:
+        eta, mu, ll, obj = evaluate(beta)
+    else:
+        eta, ll = held
+        mu = family.mean(eta)
+        obj = ll if penalty is None else ll - penalty(beta)
     trace = [obj]
     converged = False
+    spent = 0
     for it in range(1, max_iter + 1):
         if family.quadratic_loglik:
             w, z = None, y - offset
         else:
-            # canonical link: mu'(eta) = V(mu), so the mean is computed once
-            mu = family.mean(eta)
+            # canonical link: mu'(eta) = V(mu)
             w = np.maximum(family.variance(mu), _MIN_WEIGHT)
             z = (eta - offset) + (y - mu) / w
         beta_new = solve(X, w, z, beta, it == 1)
         for halvings in range(41):
-            eta_new, obj_new = objective(beta_new)
+            eta_new, mu_new, ll_new, obj_new = evaluate(beta_new)
             if halvings == 40 or (
                 np.isfinite(obj_new) and obj_new >= obj - 1e-12 * (1.0 + abs(obj))
             ):
                 break
             beta_new = 0.5 * (beta_new + beta)
-        beta, eta = beta_new, eta_new
+        spent += halvings
+        beta, eta, mu, ll = beta_new, eta_new, mu_new, ll_new
         obj_prev, obj = obj, obj_new
         trace.append(obj)
         exact = family.quadratic_loglik and halvings == 0
@@ -364,11 +426,14 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter):
         iterations=len(trace) - 1,
         converged=converged,
         eta=eta,
+        loglik=ll,
+        halvings=spent,
         trace=trace,
     )
 
 
-def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=100):
+def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=100,
+             held=None):
     """Maximum-likelihood GLM fit by iteratively reweighted least squares.
 
     The offset is added to the linear predictor and not estimated.  Each
@@ -383,6 +448,14 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     across iterations for the canonical links used here; with a warm
     ``start`` the result is therefore never worse than the starting point.
 
+    Each evaluated point costs one log-likelihood evaluation, which also
+    gives the mean for the next working response.  ``held``, a pair
+    ``(eta, loglik)`` of the linear predictor ``design @ start + offset``
+    and the log-likelihood there (as ``GlmFit.eta`` and ``GlmFit.loglik``
+    of the solve that reached ``start`` give them), spares the evaluation
+    of the start: the fit starts from these values, which are not
+    checked against ``start``.
+
     Raises
     ------
     SingularDesignError
@@ -394,7 +467,10 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     family = get_family(family)
     X, y, offset = _as_problem(design, y, offset)
     beta = _as_start(start, X.shape[1])
-    fit = _irls(family, y, X, offset, beta, _least_squares_step, None, tol, max_iter)
+    if held is not None:
+        held = _as_held(held, y.size)
+    fit = _irls(family, y, X, offset, beta, _least_squares_step, None, tol, max_iter,
+                held)
     if not fit.converged:
         raise GlmDivergenceError(
             f"IRLS did not converge in {max_iter} iterations "
@@ -527,45 +603,32 @@ def _exact_finish(G, cvec, signs, spec, tol):
 
 
 def penalized_fit(design, y, family, offset=None, penalty=None, *,
-                  warm_start=None, tol=1e-9, max_iter=100):
+                  warm_start=None, tol=1e-9, max_iter=100, held=None):
     """Penalized GLM fit: the IRLS loop with a penalized quadratic step.
 
     Maximizes ``loglik - sum_j P(|beta_j|)``: every coefficient is
     penalized (the tensor fit updates its intercept and covariates in a
     block of their own, by :func:`irls_fit`).  With no penalty or
     ``rho = 0`` this delegates to :func:`irls_fit`, started from
-    ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`,
-    and step-halving keeps the penalized objective nondecreasing.  Each
-    quadratic step is solved by :func:`_cd_on_quadratic`: for lasso, ridge
-    and elastic net an active-set search from the current iterate's sign
-    pattern comes first and coordinate-descent sweeps are the fallback;
-    the other penalties are solved by the sweeps alone.  Nonconvex
-    penalties (power with lam < 1, SCAD) are solved from up to
-    ``_NONCONVEX_STARTS`` deterministic starting points and the best
-    objective wins.
+    ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`
+    from ``warm_start`` (zeros when it is None), and step-halving keeps the
+    penalized objective nondecreasing, so the result is never worse than
+    the start; for a nonconvex penalty (power with lam < 1, SCAD) it is the
+    optimum reached from there.  Each quadratic step is solved by
+    :func:`_cd_on_quadratic`: for lasso, ridge and elastic net an
+    active-set search from the current iterate's sign pattern comes first
+    and coordinate-descent sweeps are the fallback; the other penalties are
+    solved by the sweeps alone.  ``held`` is the ``(eta, loglik)`` of the
+    start, as for :func:`irls_fit`; the penalty of the start is added here.
     """
     family = get_family(family)
     X, y, offset = _as_problem(design, y, offset)
     if penalty is None or penalty.rho == 0.0:
         return irls_fit(X, y, family, offset, start=warm_start, tol=tol,
-                        max_iter=max_iter)
-    p = X.shape[1]
-    starts = []
-    if warm_start is not None:
-        starts.append(_as_start(warm_start, p))
-    starts.append(np.zeros(p))
-    if not penalty.is_convex:
-        try:
-            unpen = irls_fit(X, y, family, offset, tol=tol, max_iter=max_iter)
-            starts.append(unpen.coefficients)
-        except (SingularDesignError, GlmDivergenceError):
-            pass
-        if warm_start is not None:
-            starts.append(0.5 * starts[0])
-        starts = starts[:_NONCONVEX_STARTS]
-    else:
-        # Convex objective: any start reaches the unique optimum.
-        starts = starts[:1]
+                        max_iter=max_iter, held=held)
+    beta = _as_start(warm_start, X.shape[1])
+    if held is not None:
+        held = _as_held(held, y.size)
 
     def solve(X, w, z, beta, first):
         return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalty,
@@ -574,15 +637,10 @@ def penalized_fit(design, y, family, offset=None, penalty=None, *,
     def cost(beta):
         return float(np.sum(penalty_value(penalty, beta)))
 
-    fits = [_irls(family, y, X, offset, b0, solve, cost, tol, max_iter)
-            for b0 in starts]
-    k = max(range(len(fits)), key=lambda i: fits[i].trace[-1])
-    best = fits[k]
-    if not best.converged:
+    fit = _irls(family, y, X, offset, beta, solve, cost, tol, max_iter, held)
+    if not fit.converged:
         raise GlmDivergenceError(
             f"penalized fit did not converge in {max_iter} outer iterations",
-            last_fit=best,
+            last_fit=fit,
         )
-    if len(starts) > 1:
-        best.restart_selected = k
-    return best
+    return fit

@@ -450,14 +450,20 @@ def _starts(config, init_factors=None):
 
 class _Start:
     """One start of the block relaxation: its iterate, outer objective
-    trace and outcome."""
+    trace and outcome.
+
+    ``eta`` and ``loglik`` are the linear predictor and log-likelihood of
+    the current iterate, as the solve that reached it evaluated them; the
+    next solve starts from them instead of evaluating the iterate again.
+    """
 
     def __init__(self, config, factors, ag, offset_ag):
         self.config = config
         self.factors = factors
         self.ag = ag
         self.offset_ag = offset_ag
-        self.eta_tensor = None
+        self.eta = None
+        self.loglik = None
         self.trace = []
         self.converged = False
         self.error = None
@@ -497,7 +503,9 @@ def _fit_lockstep(dataset, family, starts):
     its row ranges spread over the ``TENSORREG_THREADS`` workers when the
     contraction is large enough to gain from threads; each start then
     solves its block on its own column slice, the starts spread over the
-    same workers when the blocks are large enough.  A start leaves the
+    same workers when the blocks are large enough.  Every solve starts
+    from the linear predictor and log-likelihood its start holds, which
+    the previous solve returned.  A start leaves the
     stack when it converges, reaches its ``max_outer_iters`` or raises a
     TensorRegError, which it keeps in ``error``.
 
@@ -507,43 +515,58 @@ def _fit_lockstep(dataset, family, starts):
     D = len(dims)
     y, x = dataset.y, dataset.x_matrix()
     zdesign = np.hstack([np.ones((n, 1)), dataset.z])
-    # TENSORREG_SELFCHECK=1 cross-checks each start's incrementally
-    # maintained linear predictor against a fresh densify-and-contract
-    # every cycle.
+    # TENSORREG_SELFCHECK=1 cross-checks, every cycle, each start's
+    # incrementally maintained linear predictor against a fresh
+    # densify-and-contract, and its held log-likelihood against a fresh
+    # evaluation.
     selfcheck = os.environ.get("TENSORREG_SELFCHECK") == "1"
+
+    def check_held(run):
+        ll = log_likelihood(family, y, run.eta, 1.0)
+        assert abs(run.loglik - ll) <= 1e-9 * (1.0 + abs(ll)), (
+            f"held log-likelihood {run.loglik!r} is not that of the held "
+            f"linear predictor, {ll!r}"
+        )
+        return ll
 
     def solve_block(run, d, design):
         spec = run.config.penalty
         warm = run.factors[d - 1].ravel(order="F")
+        held = (run.eta, run.loglik)
         try:
             if spec is not None and spec.rho > 0.0:
                 blk = penalized_fit(
                     design, y, family, offset=run.offset_ag, penalty=spec,
-                    warm_start=warm,
+                    warm_start=warm, held=held,
                 )
             else:
-                blk = irls_fit(design, y, family, offset=run.offset_ag, start=warm)
+                blk = irls_fit(design, y, family, offset=run.offset_ag, start=warm,
+                               held=held)
         except SingularDesignError as err:
             raise SingularDesignError(err.ncols, err.rank, block=d) from None
         run.factors[d - 1] = blk.coefficients.reshape(
             (dims[d - 1], run.config.rank), order="F"
         )
-        run.eta_tensor = blk.eta - run.offset_ag
+        run.eta, run.loglik = blk.eta, blk.loglik
 
     def end_cycle(run):
         if selfcheck:
             eta_direct = x @ cp_to_full(CpTensor(run.factors)).data
-            ll_a = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
+            ll_a = check_held(run)
             ll_b = log_likelihood(family, y, run.offset_ag + eta_direct, 1.0)
             assert abs(ll_a - ll_b) <= 1e-9 * (1.0 + abs(ll_a)), (
                 f"linear-predictor routes disagree: {ll_a!r} vs {ll_b!r}"
             )
-        agfit = irls_fit(zdesign, y, family, offset=run.eta_tensor, start=run.ag)
+        agfit = irls_fit(zdesign, y, family, offset=run.eta - run.offset_ag,
+                         start=run.ag, held=(run.eta, run.loglik))
         run.ag = agfit.coefficients
         run.offset_ag = zdesign @ run.ag
-        # the solve's last trace entry is the log-likelihood at the new
-        # (alpha, gamma), with eta summed as the initial objective sums it
-        obj = agfit.trace[-1] - _penalty_total(run.config.penalty, run.factors)
+        run.eta, run.loglik = agfit.eta, agfit.loglik
+        if selfcheck:
+            check_held(run)
+        # the log-likelihood at the new (alpha, gamma), with eta summed as
+        # the initial objective sums it
+        obj = run.loglik - _penalty_total(run.config.penalty, run.factors)
         run.trace.append(obj)
         eps = run.config.epsilon
         threshold = eps if eps is not None else 1e-6 * (1.0 + abs(obj))
@@ -587,9 +610,9 @@ def _fit_lockstep(dataset, family, starts):
     # one pass over the payload for every start's initial linear predictor
     vecs = [cp_to_full(CpTensor(run.factors)).data for run in runs]
     for run, eta in zip(runs, (x @ np.column_stack(vecs)).T):
-        run.eta_tensor = eta
-        ll = log_likelihood(family, y, run.offset_ag + run.eta_tensor, 1.0)
-        run.trace.append(ll - _penalty_total(run.config.penalty, run.factors))
+        run.eta = run.offset_ag + eta
+        run.loglik = log_likelihood(family, y, run.eta, 1.0)
+        run.trace.append(run.loglik - _penalty_total(run.config.penalty, run.factors))
 
     running = list(runs)
     # one buffer for every block design of the loop: a fresh array per

@@ -24,7 +24,7 @@ from .model import (
     max_workers,
     select_rank,
 )
-from .tensor_core import CpTensor, DenseTensor, cp_to_full
+from .tensor_core import CpTensor, DenseTensor, cp_to_full, unstack_vec
 
 __all__ = [
     "SHAPE_NAMES",
@@ -196,17 +196,42 @@ class SimSpec:
             _require_int("seed", self.seed, 0)
 
 
+# Entries of x that simulate draws per chunk of samples: about 2 MB, so that
+# the draw holds little beyond the payload itself.
+_SIMULATE_CHUNK_ENTRIES = 2**18
+
+
 def simulate(spec):
     """Draw a dataset from the model: standard-normal Z and X entries,
     ``eta = gamma'z + <B, x>``, response from the family with the link
     evaluated at ``DEFAULT_ETA_SCALE[family] * eta``.  Fixed seed gives an
-    identical dataset on every call."""
+    identical dataset on every call.
+
+    X is drawn a chunk of samples at a time, from the one RNG stream, and
+    written straight into the dataset's vec-order array, so the payload is
+    held once.  Each chunk's ``<B, x_i>`` is the product of its C-order
+    rows with ``B``, as for all samples at once; the chunks are whole
+    multiples of 64 rows, the last one at least 2, so that at one BLAS
+    thread each row's product runs in the same BLAS kernel and the draw
+    is that of one product over all rows.
+    """
     rng = np.random.default_rng(spec.seed)
     n, p0 = spec.n, spec.gamma.size
     dims = spec.signal.dims
     z = rng.standard_normal((n, p0))
-    x = rng.standard_normal((n,) + dims)
-    eta = x.reshape(n, -1) @ spec.signal.to_array().ravel()
+    b = spec.signal.to_array().ravel()
+    vecs = np.empty((n, b.size))
+    x = unstack_vec(vecs, dims)
+    eta = np.empty(n)
+    step = 64 * max(1, _SIMULATE_CHUNK_ENTRIES // (64 * b.size))
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]  # a one-row product would take another BLAS path
+    buf = np.empty((max(e - s for s, e in zip(bounds, bounds[1:])),) + dims)
+    for s, e in zip(bounds, bounds[1:]):
+        chunk = rng.standard_normal(out=buf[: e - s])
+        eta[s:e] = chunk.reshape(e - s, -1) @ b
+        x[s:e] = chunk
     if p0:
         eta = eta + z @ spec.gamma
     y = spec.family.sample(DEFAULT_ETA_SCALE[spec.family.name] * eta, rng)

@@ -21,7 +21,7 @@ from tensorreg.model import (
     fit,
     select_rank,
 )
-from tensorreg.penalties import PenaltySpec, threshold_update
+from tensorreg.penalties import PenaltySpec, penalty_value, threshold_update
 
 
 def ols_oracle(X, y):
@@ -189,34 +189,141 @@ class TestIrlsFit:
         assert err.value.rank == 2
 
     @pytest.mark.parametrize("solve", [
-        lambda X, y, offset: irls_fit(X, y, "normal", offset, max_iter=1),
-        lambda X, y, offset: penalized_fit(X, y, "normal", offset,
-                                           penalty=PenaltySpec("lasso", 1.0),
-                                           max_iter=1),
+        lambda X, y, offset, **kw: irls_fit(X, y, "normal", offset, max_iter=1, **kw),
+        lambda X, y, offset, **kw: penalized_fit(X, y, "normal", offset,
+                                                 penalty=PenaltySpec("lasso", 1.0),
+                                                 max_iter=1, **kw),
     ], ids=["irls_fit", "penalized_fit"])
     def test_spent_halvings_return_the_eta_of_the_last_halving(self, monkeypatch,
                                                                 solve):
         # Every trial step is rejected, so the returned iterate is the one
         # halved after the last evaluation and its eta must be recomputed.
+        # Without a held start the zeros start is evaluated first.
         rng = np.random.default_rng(14)
         X = rng.standard_normal((40, 3))
         y = X @ np.ones(3) + rng.standard_normal(40)
         offset = rng.standard_normal(40)
-        real = glm.log_likelihood
-        calls = []
+        real = glm._loglik_and_mean
+        start_ll = log_likelihood("normal", y, offset)  # eta of the zeros start
+        for held, evaluations in ((None, 1 + 40 + 1), ((offset, start_ll), 40 + 1)):
+            calls = []
 
-        def worse_than_start(family, y, eta, phi=1.0):
-            calls.append(eta)
-            start = real(family, y, calls[0], phi)
-            return start if len(calls) == 1 else start - 1.0
+            def worse_than_start(family, y, eta, const):
+                calls.append(eta)
+                start, _ = real(family, y, calls[0], const)
+                _, mu = real(family, y, eta, const)
+                first = len(calls) == 1 and held is None
+                return (start if first else start_ll - 1.0), mu
 
-        monkeypatch.setattr(glm, "log_likelihood", worse_than_start)
-        with pytest.raises(GlmDivergenceError) as err:
-            solve(X, y, offset)
-        assert len(calls) == 1 + 40 + 1
-        last = err.value.last_fit
-        assert not np.array_equal(last.eta, calls[-2])
-        np.testing.assert_array_equal(last.eta, X @ last.coefficients + offset)
+            monkeypatch.setattr(glm, "_loglik_and_mean", worse_than_start)
+            with pytest.raises(GlmDivergenceError) as err:
+                solve(X, y, offset, held=held)
+            assert len(calls) == evaluations
+            last = err.value.last_fit
+            assert not np.array_equal(last.eta, calls[-2])
+            np.testing.assert_array_equal(last.eta, X @ last.coefficients + offset)
+
+
+class TestHeldStart:
+    """A solve started from a held ``(eta, loglik)`` against one that
+    evaluates its start, and the one evaluation per iterate."""
+
+    @staticmethod
+    def problem(name, seed=31):
+        rng = np.random.default_rng(seed)
+        fam = get_family(name)
+        X = rng.standard_normal((150, 5))
+        offset = 0.3 * rng.standard_normal(150)
+        y = fam.sample(X @ (0.4 * rng.standard_normal(5)) + offset, rng)
+        warm = 0.2 * rng.standard_normal(5)
+        # summed in another order than the kernel's X @ warm + offset, as
+        # the tensor fit's held eta comes from another block's design
+        eta = offset + X[:, ::-1] @ warm[::-1]
+        return fam, X, y, offset, warm, (eta, log_likelihood(fam, y, eta))
+
+    @pytest.mark.parametrize("penalty", [None, PenaltySpec("lasso", 3.0)],
+                             ids=["plain", "lasso"])
+    def test_normal_fits_are_bit_identical(self, penalty):
+        fam, X, y, offset, warm, held = self.problem("normal")
+        a = penalized_fit(X, y, fam, offset, penalty, warm_start=warm)
+        b = penalized_fit(X, y, fam, offset, penalty, warm_start=warm, held=held)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
+        np.testing.assert_array_equal(a.eta, b.eta)
+        assert a.loglik == b.loglik and a.trace[-1] == b.trace[-1]
+
+    @pytest.mark.parametrize("name", ["bernoulli", "poisson"])
+    @pytest.mark.parametrize("penalty", [None, PenaltySpec("lasso", 3.0)],
+                             ids=["plain", "lasso"])
+    def test_other_families_agree(self, name, penalty):
+        fam, X, y, offset, warm, held = self.problem(name)
+        a = penalized_fit(X, y, fam, offset, penalty, warm_start=warm)
+        b = penalized_fit(X, y, fam, offset, penalty, warm_start=warm, held=held)
+        np.testing.assert_allclose(b.coefficients, a.coefficients, rtol=1e-10,
+                                   atol=1e-10)
+        assert b.loglik == pytest.approx(a.loglik, rel=1e-10)
+
+    def test_evaluations_are_iterations_plus_halvings(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((200, 4))
+        y = get_family("bernoulli").sample(X @ np.array([1.0, -0.5, 0.3, 0.0]), rng)
+        start = 10.0 * np.array([1.0, -1.0, 1.0, 1.0])  # far: steps are halved
+        eta = X @ start
+        held = (eta, log_likelihood("bernoulli", y, eta))
+        real, calls = glm._loglik_and_mean, []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(glm, "_loglik_and_mean", counting)
+        fit = irls_fit(X, y, "bernoulli", start=start, held=held)
+        assert fit.halvings > 0
+        assert len(calls) == fit.iterations + fit.halvings
+        calls.clear()
+        again = irls_fit(X, y, "bernoulli", start=start)
+        assert len(calls) == 1 + again.iterations + again.halvings
+
+    def test_held_eta_of_the_wrong_length_is_named(self):
+        fam, X, y, offset, warm, (eta, ll) = self.problem("normal")
+        with pytest.raises(DomainError, match="held eta has 149 entries"):
+            irls_fit(X, y, fam, offset, start=warm, held=(eta[1:], ll))
+
+
+class TestFusedEvaluation:
+    """``b_and_mean`` against the family's own ``b`` and ``mean``."""
+
+    grid = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 1e4, -1e4],
+        np.linspace(-40.0, 40.0, 8001),
+    ])
+
+    def test_bernoulli_within_two_ulp_of_logaddexp_and_expit(self):
+        b, mu = get_family("bernoulli").b_and_mean(self.grid)
+        np.testing.assert_array_max_ulp(b, np.logaddexp(0.0, self.grid), maxulp=2)
+        np.testing.assert_array_max_ulp(mu, glm.expit(self.grid), maxulp=2)
+
+    @pytest.mark.parametrize("name", ["normal", "poisson"])
+    def test_normal_and_poisson_equal_b_and_mean(self, name):
+        fam = get_family(name)
+        b, mu = fam.b_and_mean(self.grid)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(b, fam.b(self.grid))
+            np.testing.assert_array_equal(mu, fam.mean(self.grid))
+
+    @pytest.mark.parametrize("name", ["normal", "bernoulli", "poisson"])
+    def test_kernel_evaluation_is_the_log_likelihood(self, name):
+        fam = get_family(name)
+        rng = np.random.default_rng(8)
+        eta = 3.0 * rng.standard_normal(300)
+        y = fam.sample(eta, rng)
+        const = float(np.sum(fam.c(y, 1.0)))
+        ll, mu = glm._loglik_and_mean(fam, y, eta, const)
+        assert ll == pytest.approx(log_likelihood(fam, y, eta), rel=1e-13)
+        np.testing.assert_allclose(mu, fam.mean(eta), rtol=1e-15)
+        with pytest.raises(DomainError, match="nonfinite linear predictor"):
+            glm._loglik_and_mean(fam, y, np.where(eta > 0, np.inf, eta), const)
+        # the whole grid, overflowing the poisson mean, warns of nothing
+        glm._loglik_and_mean(fam, np.zeros(self.grid.size), self.grid, 0.0)
 
 
 class TestDispersion:
@@ -480,12 +587,24 @@ class TestPenalizedFit:
         b = penalized_fit(X, y, "normal", penalty=spec, warm_start=np.ones(5) * 3.0)
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-8)
 
-    def test_scad_reports_selected_restart(self):
-        rng = np.random.default_rng(13)
+    @pytest.mark.parametrize("name", ["normal", "bernoulli"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_started_scad_never_ends_below_its_warm_start(self, name, seed):
+        # a nonconvex block is solved from its warm start alone: the
+        # step-halving keeps the objective at or above the warm start's
+        rng = np.random.default_rng(300 + seed)
+        fam = get_family(name)
         X = rng.standard_normal((100, 4))
-        y = X @ np.array([3.0, 0.0, -2.0, 0.0]) + rng.standard_normal(100)
-        fit = penalized_fit(X, y, "normal", penalty=PenaltySpec("scad", 1.0))
-        assert fit.restart_selected is not None
+        y = fam.sample(X @ np.array([1.5, 0.0, -1.0, 0.0]), rng)
+        spec = PenaltySpec("scad", 2.0)
+        warm = 2.0 * rng.standard_normal(4)
+        start = log_likelihood(fam, y, X @ warm) - np.sum(penalty_value(spec, warm))
+        fit = penalized_fit(X, y, fam, penalty=spec, warm_start=warm)
+        end = log_likelihood(fam, y, X @ fit.coefficients) - np.sum(
+            penalty_value(spec, fit.coefficients))
+        assert fit.trace[0] == pytest.approx(start, rel=1e-12)
+        assert end >= start - 1e-12 * (1.0 + abs(start))
+        assert end == pytest.approx(fit.trace[-1], rel=1e-12)
 
 
 def plain_cd(G, cvec, beta, spec, tol=1e-13, max_sweeps=20_000):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tensorreg.shapes as shapes
 from tensorreg.errors import DomainError
 from tensorreg.glm import get_family
 from tensorreg.model import FitConfig
@@ -17,7 +18,7 @@ from tensorreg.shapes import (
     run_consistency_study,
     simulate,
 )
-from tensorreg.tensor_core import cp_to_full
+from tensorreg.tensor_core import DenseTensor, cp_to_full, stack_vec
 
 
 class TestShapes:
@@ -129,6 +130,45 @@ class TestSimulate:
                 assert set(np.unique(ds.y)) <= {0.0, 1.0}
             else:
                 assert np.all(ds.y >= 0) and np.allclose(ds.y, np.round(ds.y))
+
+    @pytest.mark.parametrize("family,dims,n,p0", [
+        ("normal", (8, 8), 129, 3),  # chunks of 64 and 65 samples
+        ("bernoulli", (4, 4, 4), 140, 0),  # chunks of 64, 64 and 12
+    ])
+    @pytest.mark.parametrize("chunk_entries", [1, shapes._SIMULATE_CHUNK_ENTRIES],
+                             ids=["chunked", "default"])
+    def test_chunked_draw_equals_one_draw(self, monkeypatch, family, dims, n, p0,
+                                          chunk_entries):
+        # n * prod(dims) stays below OpenBLAS's threading threshold, so the
+        # one product over all samples runs on one BLAS thread
+        monkeypatch.setattr(shapes, "_SIMULATE_CHUNK_ENTRIES", chunk_entries)
+        signal = DenseTensor.from_array(np.random.default_rng(5).standard_normal(dims))
+        gamma = np.linspace(-1.0, 1.0, p0)
+        ds = simulate(SimSpec(signal=signal, gamma=gamma, family=family, n=n, seed=9))
+        # the draw of the whole C-order x at once, then its vec-order rows
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((n, p0))
+        x = rng.standard_normal((n,) + dims)
+        eta = x.reshape(n, -1) @ signal.to_array().ravel()
+        if p0:
+            eta = eta + z @ gamma
+        scale = {"normal": 1.0, "bernoulli": 0.1}[family]
+        np.testing.assert_array_equal(ds.y, get_family(family).sample(scale * eta, rng))
+        np.testing.assert_array_equal(ds.z, z)
+        np.testing.assert_array_equal(ds.x_matrix(), stack_vec(x)[1])
+
+    def test_payload_is_held_once(self):
+        import tracemalloc
+
+        spec = SimSpec(signal=generate_shape(ShapeSpec("square", 64)),
+                       gamma=np.ones(2), family="normal", n=600, seed=4)
+        tracemalloc.start()
+        try:
+            ds = simulate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.x_matrix().nbytes
 
 
     @pytest.mark.parametrize("field,value,message", [
