@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GlmDivergenceError, SingularDesignError
-from .penalties import penalty_value, threshold_update
+from .penalties import _penalty_total, threshold_update
 
 __all__ = [
     "GlmFamily",
@@ -35,31 +35,35 @@ _MAX_SWEEPS = 1000
 _MAX_PATTERNS = 8
 
 
-def expit(x):
-    """Logistic function ``1 / (1 + exp(-x))``, elementwise.
+def _logistic(x):
+    """``(exp(-|x|), 1 / (1 + exp(-x)))``, elementwise.
 
     ``exp`` only ever sees ``-|x|``, so it cannot overflow.  Beyond
     ``|x| > 708`` it underflows gradually toward the tiny true value, which
     is not an error.
     """
-    x = np.asarray(x, dtype=np.float64)
     with np.errstate(under="ignore"):
         e = np.exp(-np.abs(x))
-    return np.where(x < 0.0, e, 1.0) / (1.0 + e)
+    return e, np.where(x < 0.0, e, 1.0) / (1.0 + e)
+
+
+def expit(x):
+    """Logistic function ``1 / (1 + exp(-x))``, elementwise."""
+    return _logistic(np.asarray(x, dtype=np.float64))[1]
 
 
 class GlmFamily:
     """An exponential-family response with its canonical link.
 
-    Subclasses provide the cumulant ``b``, the mean ``mu = b'(eta)`` and
-    variance ``V(mu) = b''(eta)`` functions, the dispersion scale
-    ``a(phi)`` and the log-density constant ``c(y, phi)``.  The link is
-    canonical, so the natural parameter is ``eta`` itself, and the
-    derivatives of the log-likelihood in ``eta`` are ``(y - mu) / a(phi)``
-    and ``-V(mu) / a(phi)``.  :meth:`b_and_mean` gives ``b`` and ``mu``
-    together, from one pass over ``eta``: the IRLS kernel evaluates each
-    iterate with it once, for its log-likelihood and its next working
-    response.
+    Subclasses provide :meth:`b_and_mean`, the cumulant ``b(eta)`` together
+    with the mean ``mu = b'(eta)`` from one pass over ``eta``; the mean
+    alone, :meth:`mean`; the variance function ``V(mu) = b''(eta)``; the
+    dispersion scale ``a(phi)``; and the log-density constant
+    ``c(y, phi)``.  The link is canonical, so the natural parameter is
+    ``eta`` itself, and the derivatives of the log-likelihood in ``eta``
+    are ``(y - mu) / a(phi)`` and ``-V(mu) / a(phi)``.  ``b_and_mean`` is
+    the only cumulant: every log-likelihood, the IRLS kernel's and
+    :func:`log_likelihood`'s, is evaluated through it.
     """
 
     name = "?"
@@ -72,9 +76,6 @@ class GlmFamily:
     def a_phi(self, phi):
         """Dispersion scale ``a(phi)``: 1 for fixed-dispersion families."""
         return 1.0
-
-    def b(self, theta):
-        raise NotImplementedError
 
     def mean(self, eta):
         """Mean function ``mu(eta) = b'(eta)``."""
@@ -113,9 +114,6 @@ class NormalFamily(GlmFamily):
     def a_phi(self, phi):
         return float(phi)
 
-    def b(self, theta):
-        return 0.5 * np.square(theta)
-
     def mean(self, eta):
         return np.asarray(eta, dtype=np.float64)
 
@@ -139,18 +137,13 @@ class BernoulliFamily(GlmFamily):
     name = "bernoulli"
     support = "{0, 1}"
 
-    def b(self, theta):
-        return np.logaddexp(0.0, theta)
-
     def mean(self, eta):
         return expit(eta)
 
     def b_and_mean(self, eta):
         # one exp for both: log(1 + exp(eta)) = max(eta, 0) + log1p(e), and
         # the mean is expit's, with e = exp(-|eta|)
-        with np.errstate(under="ignore"):
-            e = np.exp(-np.abs(eta))
-        mu = np.where(eta < 0.0, e, 1.0) / (1.0 + e)
+        e, mu = _logistic(eta)
         return np.maximum(eta, 0.0) + np.log1p(e), mu
 
     def variance(self, mu):
@@ -170,9 +163,6 @@ class BernoulliFamily(GlmFamily):
 class PoissonFamily(GlmFamily):
     name = "poisson"
     support = "y >= 0"
-
-    def b(self, theta):
-        return np.exp(theta)
 
     def mean(self, eta):
         return np.exp(eta)
@@ -219,18 +209,17 @@ def log_likelihood(family, y, eta, phi=1.0):
     """Exponential-family log-likelihood at linear predictor ``eta``.
 
     ``sum_i (y_i * eta_i - b(eta_i)) / a(phi) + sum_i c(y_i, phi)``: the
-    link is canonical, so the natural parameter is ``eta``.
+    link is canonical, so the natural parameter is ``eta``.  The first sum is
+    the IRLS kernel's evaluation, so at ``phi = 1`` this is its value to the bit.
     """
     family = get_family(family)
     y = np.asarray(y, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     if y.shape != eta.shape:
         raise DomainError(f"y has shape {y.shape}, eta has shape {eta.shape}")
-    if not np.all(np.isfinite(eta)):
-        raise DomainError("nonfinite linear predictor")
     with np.errstate(over="ignore"):
-        core = (y * eta - family.b(eta)) / family.a_phi(phi)
-    return float(np.sum(core) + np.sum(family.c(y, phi)))
+        s, _ = _loglik_and_mean(family, y, eta, 0.0)
+        return s / family.a_phi(phi) + float(np.sum(family.c(y, phi)))
 
 
 @dataclass
@@ -348,11 +337,11 @@ def _loglik_and_mean(family, y, eta, const):
     """Log-likelihood at unit dispersion and mean at ``eta``: the kernel's
     one evaluation of an iterate.
 
-    ``const`` is ``sum_i c(y_i, 1)``, summed once per solve.  The result is
-    :func:`log_likelihood`'s, without its checks of the shapes, which the
-    kernel fixed when it set up the problem.  An overflow of ``b`` (a
-    poisson mean beyond the float range) gives a log-likelihood of -inf
-    without a warning, as there.
+    ``const`` is ``sum_i c(y_i, 1)``, summed once per solve.
+    :func:`log_likelihood` evaluates through this function too, after its
+    checks of the shapes, which the kernel fixed when it set up the
+    problem.  An overflow of ``b`` (a poisson mean beyond the float range)
+    gives a log-likelihood of -inf without a warning.
     """
     if not np.isfinite(eta).all():
         raise DomainError("nonfinite linear predictor")
@@ -635,7 +624,7 @@ def penalized_fit(design, y, family, offset=None, penalty=None, *,
                                 tol=1e-12, max_sweeps=_MAX_SWEEPS)
 
     def cost(beta):
-        return float(np.sum(penalty_value(penalty, beta)))
+        return _penalty_total(penalty, (beta,))
 
     fit = _irls(family, y, X, offset, beta, solve, cost, tol, max_iter, held)
     if not fit.converged:

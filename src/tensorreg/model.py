@@ -40,7 +40,7 @@ from .errors import (
     TensorRegError,
 )
 from .glm import GlmFamily, get_family, irls_fit, log_likelihood, penalized_fit
-from .penalties import PenaltySpec, penalty_value
+from .penalties import PenaltySpec, _penalty_total
 from .tensor_core import (
     CpTensor,
     DenseTensor,
@@ -80,14 +80,13 @@ def max_workers():
     contraction, per-start block solves and study replicates."""
     value = os.environ.get("TENSORREG_THREADS", "1")
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
-        warnings.warn(
-            f"TENSORREG_THREADS={value!r} is not an integer; using 1 worker",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+        workers = 0
+    if workers < 1:
+        warnings.warn(f"TENSORREG_THREADS={value!r} is not a positive integer; "
+                      "using 1 worker", RuntimeWarning, stacklevel=2)
+    return max(workers, 1)
 
 
 _WORKER_PREFIX = "tensorreg-worker"
@@ -411,12 +410,6 @@ def effective_parameters(dims, rank, p0):
     return int(p0) + 1 + tensor_part
 
 
-def _penalty_total(spec, factors):
-    if spec is None or spec.rho == 0.0:
-        return 0.0
-    return float(sum(np.sum(penalty_value(spec, f)) for f in factors))
-
-
 def _require_enough_observations(dataset, config):
     """Raise DomainError when an unpenalized block, or the unpenalized
     model as a whole, has no more observations than parameters."""
@@ -647,7 +640,10 @@ def _fit_lockstep(dataset, family, starts):
 
 def _best_model(dataset, family, config, runs):
     """The normalized model of the best of ``runs``, the starts of
-    ``config``; FitConvergenceError when every start failed."""
+    ``config``; FitConvergenceError when every start failed.  Dispersion and
+    log-likelihood are taken at the linear predictor the best start holds:
+    normalization leaves the tensor unchanged, so nothing is contracted anew.
+    """
     successes = [run for run in runs if run.error is None]
     if not successes:
         # the most cycles, then the best objective
@@ -662,7 +658,7 @@ def _best_model(dataset, family, config, runs):
 
     coeff = normalize_identifiability(CpTensor(best.factors))
     p_e = effective_parameters(dims, config.rank, p0)
-    eta = _linear_predictor(dataset, alpha, gamma, coeff)
+    eta = best.eta
     if family.dispersion_fixed:
         phi = 1.0
     else:
@@ -901,6 +897,7 @@ class InferenceReport:
     covariate coefficients; ``free_parameter_index`` maps 1-based
     ``(mode, row, column)`` CP coordinates to positions, and
     ``alpha_position`` / ``gamma_positions`` locate the rest.
+    ``condition_number`` is the information's largest over smallest singular value.
     """
 
     score: np.ndarray
@@ -909,6 +906,7 @@ class InferenceReport:
     free_parameter_index: dict
     alpha_position: int
     gamma_positions: np.ndarray
+    condition_number: float
 
 
 def _eta_derivatives(model, dataset):
@@ -956,11 +954,15 @@ def score_and_information(model, dataset):
     if not np.all(np.isfinite(info)):
         raise InferenceError("Fisher information has nonfinite entries")
     try:
-        rank = np.linalg.matrix_rank(info)
+        # numpy's matrix_rank rule, on singular values that also give the condition
+        s = np.linalg.svd(info, compute_uv=False)
+        rank = int(np.count_nonzero(s > s[0] * dim * np.finfo(s.dtype).eps))
+        condition = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf
         if rank < dim:
             raise InferenceError(
-                f"Fisher information is singular (rank {rank} of {dim}); the "
-                "parameter point is not locally identifiable up to permutation"
+                f"Fisher information is singular (rank {rank} of {dim}, "
+                f"condition number {condition:.3g}); the parameter point is "
+                "not locally identifiable up to permutation"
             )
         cov = np.linalg.solve(info, np.eye(dim))
     except np.linalg.LinAlgError as err:
@@ -975,6 +977,7 @@ def score_and_information(model, dataset):
         free_parameter_index=index_map,
         alpha_position=nfree,
         gamma_positions=np.arange(nfree + 1, nfree + 1 + model.p0),
+        condition_number=condition,
     )
 
 

@@ -82,12 +82,6 @@ class PenaltySpec:
             return 0.0, 2.0 * rho
         return None
 
-    @property
-    def is_convex(self):
-        return self.family == "elastic_net" or (
-            self.family == "power" and self.lam >= 1.0
-        )
-
     def threshold_rule(self):
         """The threshold of this penalty as ``rule(z, w)`` on Python floats.
 
@@ -147,6 +141,14 @@ def penalty_value(spec, beta):
         flat = (lam + 1.0) * rho**2 / 2.0
         out = np.where(t <= rho, linear, np.where(t <= lam * rho, quad, flat))
     return float(out) if out.ndim == 0 else out
+
+
+def _penalty_total(spec, arrays):
+    """``sum P(|b|)`` over the entries of ``arrays``, 0.0 without a penalty.
+    Private: the benchmark tracer opens a span per call of an ``__all__`` name."""
+    if spec is None or spec.rho == 0.0:
+        return 0.0
+    return float(sum(np.sum(penalty_value(spec, a)) for a in arrays))
 
 
 def _identity(z, w):

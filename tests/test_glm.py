@@ -24,6 +24,14 @@ from tensorreg.model import (
 from tensorreg.penalties import PenaltySpec, penalty_value, threshold_update
 
 
+# Reference cumulants b(eta), written independently of the families.
+CUMULANTS = {
+    "normal": lambda eta: 0.5 * eta**2,
+    "bernoulli": lambda eta: np.logaddexp(0.0, eta),
+    "poisson": np.exp,
+}
+
+
 def ols_oracle(X, y):
     """Normal-equations least squares, independent of lstsq."""
     return np.linalg.solve(X.T @ X, X.T @ y)
@@ -40,12 +48,17 @@ class TestFamilies:
     @pytest.mark.parametrize("name", ["normal", "bernoulli", "poisson"])
     def test_mean_is_b_prime_and_variance_is_b_second(self, name):
         fam = get_family(name)
+
+        def b(eta):
+            return fam.b_and_mean(eta)[0]
+
         eta = np.linspace(-2.0, 2.0, 41)
+        np.testing.assert_allclose(b(eta), CUMULANTS[name](eta), rtol=1e-15)
         h = 1e-6
-        b_prime = (fam.b(eta + h) - fam.b(eta - h)) / (2 * h)
+        b_prime = (b(eta + h) - b(eta - h)) / (2 * h)
         np.testing.assert_allclose(fam.mean(eta), b_prime, rtol=1e-6, atol=1e-8)
         h2 = 1e-4  # larger step: second differences lose ~eps/h^2 to rounding
-        b_second = (fam.b(eta + h2) - 2 * fam.b(eta) + fam.b(eta - h2)) / h2**2
+        b_second = (b(eta + h2) - 2 * b(eta) + b(eta - h2)) / h2**2
         np.testing.assert_allclose(
             fam.variance(fam.mean(eta)), b_second, rtol=1e-4, atol=1e-6
         )
@@ -290,7 +303,7 @@ class TestHeldStart:
 
 
 class TestFusedEvaluation:
-    """``b_and_mean`` against the family's own ``b`` and ``mean``."""
+    """``b_and_mean`` against reference cumulants and the family's ``mean``."""
 
     grid = np.concatenate([
         [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 1e4, -1e4],
@@ -307,7 +320,7 @@ class TestFusedEvaluation:
         fam = get_family(name)
         b, mu = fam.b_and_mean(self.grid)
         with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(b, fam.b(self.grid))
+            np.testing.assert_array_equal(b, CUMULANTS[name](self.grid))
             np.testing.assert_array_equal(mu, fam.mean(self.grid))
 
     @pytest.mark.parametrize("name", ["normal", "bernoulli", "poisson"])
@@ -318,7 +331,7 @@ class TestFusedEvaluation:
         y = fam.sample(eta, rng)
         const = float(np.sum(fam.c(y, 1.0)))
         ll, mu = glm._loglik_and_mean(fam, y, eta, const)
-        assert ll == pytest.approx(log_likelihood(fam, y, eta), rel=1e-13)
+        assert ll == log_likelihood(fam, y, eta)
         np.testing.assert_allclose(mu, fam.mean(eta), rtol=1e-15)
         with pytest.raises(DomainError, match="nonfinite linear predictor"):
             glm._loglik_and_mean(fam, y, np.where(eta > 0, np.inf, eta), const)

@@ -579,6 +579,57 @@ class TestFit:
 # ---------------------------------------------------------------------------
 
 
+class TestReturnedModel:
+    """The returned model's dispersion and log-likelihood are taken at the
+    linear predictor the fit holds, not at a fresh contraction."""
+
+    @staticmethod
+    def _dataset(family, seed, n=600, dims=(4, 3)):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n, dims, p0=1)
+        truth = CpTensor([0.4 * rng.standard_normal((p, 2)) for p in dims])
+        eta = 0.2 + ds.z[:, 0] * 0.5 + ds.x_matrix() @ cp_to_full(truth).data
+        return with_response(ds, get_family(family).sample(eta, rng))
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_loglik_is_the_last_trace_entry(self, family):
+        ds = self._dataset(family, 70)
+        model = fit(ds, family, FitConfig(rank=2, restarts=2, seed=3))
+        assert model.loglik == model.trace[-1]
+
+    def test_every_select_rank_model_has_its_last_trace_entry(self, monkeypatch):
+        from tensorreg import model as model_module
+
+        built, inner = [], model_module._best_model
+
+        def keep(*args):
+            built.append(inner(*args))
+            return built[-1]
+
+        monkeypatch.setattr(model_module, "_best_model", keep)
+        ds = self._dataset("bernoulli", 71)
+        _, table = select_rank(ds, "bernoulli", 3, FitConfig(restarts=2, seed=4))
+        assert [m.rank for m in built] == [1, 2, 3]
+        assert all(row["error"] is None for row in table)
+        for m, row in zip(built, table):
+            assert m.loglik == m.trace[-1] == row["loglik"]
+
+    def test_fit_and_select_rank_make_no_contraction_of_their_own(
+        self, monkeypatch
+    ):
+        from tensorreg import model as model_module
+
+        def refuse(*args):
+            raise AssertionError("the returned model was contracted anew")
+
+        monkeypatch.setattr(model_module, "_linear_predictor", refuse)
+        ds = self._dataset("poisson", 72, n=300)
+        model = fit(ds, "normal", FitConfig(rank=2, restarts=2, seed=5))
+        assert np.isfinite(model.phi) and np.isfinite(model.loglik)
+        best, _ = select_rank(ds, "poisson", 2, FitConfig(restarts=2, seed=6))
+        assert np.isfinite(best.loglik)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("name,value", [
         ("rank", 0), ("rank", 1.5), ("restarts", 0), ("restarts", 2.5),
@@ -888,6 +939,24 @@ class TestInference:
         with pytest.raises(InferenceError, match="nonfinite"):
             score_and_information(model, ds)
 
+    def test_condition_number_is_that_of_the_information(self):
+        rng = np.random.default_rng(33)
+        model = make_model(normalized_point(rng, (3, 3, 2), 2), gamma=(0.3,), n=80)
+        ds = random_dataset(rng, 80, (3, 3, 2), p0=1)
+        rep = score_and_information(model, ds)
+        assert rep.condition_number == pytest.approx(
+            np.linalg.cond(rep.information), rel=1e-12
+        )
+
+    def test_structurally_singular_information_names_its_condition_number(self):
+        # D=2, R=2: the first-row chart fixes R of the R^2 rotation degrees
+        # of freedom (see the note above test_score_matches_finite_differences)
+        rng = np.random.default_rng(34)
+        model = make_model(normalized_point(rng, (3, 4), 2), n=80)
+        ds = random_dataset(rng, 80, (3, 4))
+        with pytest.raises(InferenceError, match="singular .*condition number"):
+            score_and_information(model, ds)
+
     def test_free_parameter_layout(self):
         index_map, keep = free_parameter_index((3, 4), 2)
         assert len(index_map) == (3 - 1) * 2 + 4 * 2
@@ -1156,6 +1225,14 @@ class TestWorkerParallelism:
         assert seq.rows == par.rows
         monkeypatch.setenv("TENSORREG_THREADS", "two")
         with pytest.warns(RuntimeWarning, match="'two'"):
+            assert max_workers() == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_thread_cap_below_one_warns(self, monkeypatch, value):
+        from tensorreg.model import max_workers
+
+        monkeypatch.setenv("TENSORREG_THREADS", value)
+        with pytest.warns(RuntimeWarning, match=f"'{value}' is not a positive"):
             assert max_workers() == 1
 
     def test_nested_pools_stay_within_thread_cap(self, monkeypatch):
