@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _MIN_WEIGHT = 1e-10
+# The one IRLS stopping rule, of every solve (see _irls).
+_TOL = 1e-8
+_MAX_ITER = 100
 # Cholesky pivots below this share of the largest one send a weighted least
 # squares step to the SVD solve, which determines the numerical rank.
 _PIVOT_RATIO = 1e-6
@@ -243,30 +246,25 @@ class GlmFit:
     trace: list = field(default_factory=list, repr=False)
 
 
-def _as_problem(design, y, offset):
-    """The design as a 2-D float array, the response and the offset as vectors."""
+def _as_problem(design, y, offset, start):
+    """The design as a 2-D float array; the response, the offset and the
+    start (zeros when None) as vectors."""
     X = np.asarray(design, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = X.shape[0]
+    n, p = X.shape
     if y.size != n:
         raise DomainError(f"{n} design rows vs {y.size} responses")
     if offset is None:
-        return X, y, np.zeros(n)
+        offset = np.zeros(n)
     offset = np.asarray(offset, dtype=np.float64).reshape(-1)
     if offset.size != n:
         raise DomainError(f"offset length {offset.size} != {n} observations")
-    return X, y, offset
-
-
-def _as_start(start, p):
-    if start is None:
-        return np.zeros(p)
-    beta = np.asarray(start, dtype=np.float64).reshape(-1).copy()
+    beta = np.zeros(p) if start is None else np.array(start, dtype=np.float64).ravel()
     if beta.size != p:
         raise DomainError(f"start has {beta.size} entries for {p} columns")
-    return beta
+    return X, y, offset, beta
 
 
 def _weighted_gram(X, w, z):
@@ -324,15 +322,6 @@ def _least_squares_step(X, w, z, beta, first):
     return step
 
 
-def _as_held(held, n):
-    """``held`` as ``(eta, loglik)``, with ``eta`` a vector of ``n`` entries."""
-    eta, loglik = held
-    eta = np.asarray(eta, dtype=np.float64).reshape(-1)
-    if eta.size != n:
-        raise DomainError(f"held eta has {eta.size} entries for {n} observations")
-    return eta, float(loglik)
-
-
 def _loglik_and_mean(family, y, eta, const):
     """Log-likelihood at unit dispersion and mean at ``eta``: the kernel's
     one evaluation of an iterate.
@@ -349,8 +338,9 @@ def _loglik_and_mean(family, y, eta, const):
     return float(np.sum(y * eta - b) + const), mu
 
 
-def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
-    """Maximize ``loglik - penalty(beta)`` by IRLS from ``beta``.
+def _irls(design, y, family, offset, start, held, solve, penalty):
+    """Maximize ``loglik - penalty(beta)`` by IRLS from ``start``, the
+    kernel of :func:`irls_fit` and :func:`penalized_fit`.
 
     Each iteration forms the working response ``z`` and weights ``w`` at
     the current linear predictor, and ``solve(X, w, z, beta, first)``
@@ -360,17 +350,22 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
     quadratic is only a local model for non-normal families, so the step
     is halved back toward the current iterate until the objective does not
     fall; the 40th halving is the last one evaluated, and is kept either
-    way.  When the log-likelihood is quadratic in eta an undamped step is
-    exact and the loop stops there.  ``penalty`` is None for a plain fit.
+    way.  ``penalty`` is None for a plain fit.
+
+    One rule stops every solve: an iteration that gains at most ``_TOL``
+    of ``1 + |objective|``, or an undamped step when the log-likelihood is
+    quadratic in eta (it is exact).  ``_MAX_ITER`` iterations without
+    either raise GlmDivergenceError, which carries the last GlmFit.
 
     Every evaluated point costs one :func:`_loglik_and_mean`, whose mean
     forms the next working response.  ``held``, the ``(eta, loglik)`` of
-    ``beta``, replaces the evaluation of the start, so that a call costs
-    one evaluation per iteration and halving.
+    ``start`` or None, replaces the evaluation of the start, so that a call
+    costs one evaluation per iteration and halving.
 
-    Returns a GlmFit whose trace holds the objective at every iterate,
-    with ``converged`` False when ``max_iter`` ran out.
+    Returns a GlmFit whose trace holds the objective at every iterate.
     """
+    family = get_family(family)
+    X, y, offset, beta = _as_problem(design, y, offset, start)
     const = float(np.sum(family.c(y, 1.0)))
 
     def evaluate(beta):
@@ -381,13 +376,16 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
     if held is None:
         eta, mu, ll, obj = evaluate(beta)
     else:
-        eta, ll = held
+        eta, ll = np.asarray(held[0], dtype=np.float64).reshape(-1), float(held[1])
+        if eta.size != y.size:
+            raise DomainError(
+                f"held eta has {eta.size} entries for {y.size} observations")
         mu = family.mean(eta)
         obj = ll if penalty is None else ll - penalty(beta)
     trace = [obj]
     converged = False
     spent = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if family.quadratic_loglik:
             w, z = None, y - offset
         else:
@@ -407,10 +405,10 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
         obj_prev, obj = obj, obj_new
         trace.append(obj)
         exact = family.quadratic_loglik and halvings == 0
-        if exact or abs(obj - obj_prev) <= tol * (1.0 + abs(obj)):
+        if exact or abs(obj - obj_prev) <= _TOL * (1.0 + abs(obj)):
             converged = True
             break
-    return GlmFit(
+    fit = GlmFit(
         coefficients=beta,
         iterations=len(trace) - 1,
         converged=converged,
@@ -419,10 +417,17 @@ def _irls(family, y, X, offset, beta, solve, penalty, tol, max_iter, held=None):
         halvings=spent,
         trace=trace,
     )
+    if not converged:
+        raise GlmDivergenceError(
+            f"{'IRLS' if penalty is None else 'penalized IRLS'} did not converge "
+            f"in {_MAX_ITER} iterations (family={family.name}; possible "
+            "separation or unstable design)",
+            last_fit=fit,
+        )
+    return fit
 
 
-def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=100,
-             held=None):
+def irls_fit(design, y, family, offset=None, *, start=None, held=None):
     """Maximum-likelihood GLM fit by iteratively reweighted least squares.
 
     The offset is added to the linear predictor and not estimated.  Each
@@ -445,28 +450,19 @@ def irls_fit(design, y, family, offset=None, *, start=None, tol=1e-8, max_iter=1
     of the start: the fit starts from these values, which are not
     checked against ``start``.
 
+    Every fit, here and in :func:`penalized_fit`, stops by one rule: an
+    iteration that gains at most 1e-8 of the objective, relative to
+    ``1 + |objective|``, or the exact step of the normal family.
+
     Raises
     ------
     SingularDesignError
         If the design is column-rank deficient.
     GlmDivergenceError
-        If ``max_iter`` is exhausted (e.g. separation under the bernoulli
-        family); the error carries the last iterate.
+        If 100 iterations do not meet the stopping rule (e.g. separation
+        under the bernoulli family); the error carries the last iterate.
     """
-    family = get_family(family)
-    X, y, offset = _as_problem(design, y, offset)
-    beta = _as_start(start, X.shape[1])
-    if held is not None:
-        held = _as_held(held, y.size)
-    fit = _irls(family, y, X, offset, beta, _least_squares_step, None, tol, max_iter,
-                held)
-    if not fit.converged:
-        raise GlmDivergenceError(
-            f"IRLS did not converge in {max_iter} iterations "
-            f"(family={family.name}; possible separation or unstable design)",
-            last_fit=fit,
-        )
-    return fit
+    return _irls(design, y, family, offset, start, held, _least_squares_step, None)
 
 
 def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
@@ -591,33 +587,30 @@ def _exact_finish(G, cvec, signs, spec, tol):
     return None, np.sign(moved) if np.isfinite(gap) else None
 
 
-def penalized_fit(design, y, family, offset=None, penalty=None, *,
-                  warm_start=None, tol=1e-9, max_iter=100, held=None):
+def penalized_fit(design, y, family, offset=None, penalty=None, *, start=None,
+                  held=None):
     """Penalized GLM fit: the IRLS loop with a penalized quadratic step.
 
     Maximizes ``loglik - sum_j P(|beta_j|)``: every coefficient is
     penalized (the tensor fit updates its intercept and covariates in a
-    block of their own, by :func:`irls_fit`).  With no penalty or
-    ``rho = 0`` this delegates to :func:`irls_fit`, started from
-    ``warm_start``.  Otherwise it runs the IRLS loop of :func:`irls_fit`
-    from ``warm_start`` (zeros when it is None), and step-halving keeps the
-    penalized objective nondecreasing, so the result is never worse than
-    the start; for a nonconvex penalty (power with lam < 1, SCAD) it is the
-    optimum reached from there.  Each quadratic step is solved by
-    :func:`_cd_on_quadratic`: for lasso, ridge and elastic net an
-    active-set search from the current iterate's sign pattern comes first
-    and coordinate-descent sweeps are the fallback; the other penalties are
-    solved by the sweeps alone.  ``held`` is the ``(eta, loglik)`` of the
-    start, as for :func:`irls_fit`; the penalty of the start is added here.
+    block of their own, by :func:`irls_fit`).  ``penalty`` must have a
+    positive ``rho``: an unpenalized fit is :func:`irls_fit`'s, and
+    DomainError names it.  The IRLS loop, its stopping rule and ``held``
+    are :func:`irls_fit`'s; it starts from ``start`` (zeros when it is
+    None), and step-halving keeps the penalized objective nondecreasing, so
+    the result is never worse than the start; for a nonconvex penalty
+    (power with lam < 1, SCAD) it is the optimum reached from there.  Each
+    quadratic step is solved by :func:`_cd_on_quadratic`: for lasso, ridge
+    and elastic net an active-set search from the current iterate's sign
+    pattern comes first and coordinate-descent sweeps are the fallback; the
+    other penalties are solved by the sweeps alone.  The penalty of the
+    start is added to a held log-likelihood here.
     """
-    family = get_family(family)
-    X, y, offset = _as_problem(design, y, offset)
-    if penalty is None or penalty.rho == 0.0:
-        return irls_fit(X, y, family, offset, start=warm_start, tol=tol,
-                        max_iter=max_iter, held=held)
-    beta = _as_start(warm_start, X.shape[1])
-    if held is not None:
-        held = _as_held(held, y.size)
+    if penalty is None or not penalty.rho > 0.0:
+        raise DomainError(
+            f"penalized_fit needs a penalty with rho > 0, got {penalty!r}; "
+            "fit without one by irls_fit"
+        )
 
     def solve(X, w, z, beta, first):
         return _cd_on_quadratic(*_weighted_gram(X, w, z), beta, penalty,
@@ -626,10 +619,4 @@ def penalized_fit(design, y, family, offset=None, penalty=None, *,
     def cost(beta):
         return _penalty_total(penalty, (beta,))
 
-    fit = _irls(family, y, X, offset, beta, solve, cost, tol, max_iter, held)
-    if not fit.converged:
-        raise GlmDivergenceError(
-            f"penalized fit did not converge in {max_iter} outer iterations",
-            last_fit=fit,
-        )
-    return fit
+    return _irls(design, y, family, offset, start, held, solve, cost)

@@ -411,11 +411,17 @@ def effective_parameters(dims, rank, p0):
 
 
 def _require_enough_observations(dataset, config):
-    """Raise DomainError when an unpenalized block, or the unpenalized
-    model as a whole, has no more observations than parameters."""
+    """Raise DomainError when a 1-mode covariate is fitted at rank > 1, or
+    when an unpenalized block, or the unpenalized model as a whole, has no
+    more observations than parameters."""
+    n, R, p0 = dataset.n, config.rank, dataset.p0
+    if dataset.ndim == 1 and R > 1:
+        raise DomainError(
+            f"rank {R} for a 1-mode covariate: its coefficient is a vector, "
+            "whose CP rank is 1, so only rank 1 can be fitted"
+        )
     if config.penalty is not None and config.penalty.rho != 0.0:
         return
-    n, R, p0 = dataset.n, config.rank, dataset.p0
     for d, p in enumerate(dataset.dims, start=1):
         if n <= p * R + p0 + 1:
             raise DomainError(
@@ -524,17 +530,13 @@ def _fit_lockstep(dataset, family, starts):
 
     def solve_block(run, d, design):
         spec = run.config.penalty
-        warm = run.factors[d - 1].ravel(order="F")
-        held = (run.eta, run.loglik)
+        kw = dict(offset=run.offset_ag, start=run.factors[d - 1].ravel(order="F"),
+                  held=(run.eta, run.loglik))
         try:
             if spec is not None and spec.rho > 0.0:
-                blk = penalized_fit(
-                    design, y, family, offset=run.offset_ag, penalty=spec,
-                    warm_start=warm, held=held,
-                )
+                blk = penalized_fit(design, y, family, penalty=spec, **kw)
             else:
-                blk = irls_fit(design, y, family, offset=run.offset_ag, start=warm,
-                               held=held)
+                blk = irls_fit(design, y, family, **kw)
         except SingularDesignError as err:
             raise SingularDesignError(err.ncols, err.rank, block=d) from None
         run.factors[d - 1] = blk.coefficients.reshape(
@@ -640,7 +642,10 @@ def _fit_lockstep(dataset, family, starts):
 
 def _best_model(dataset, family, config, runs):
     """The normalized model of the best of ``runs``, the starts of
-    ``config``; FitConvergenceError when every start failed.  Dispersion and
+    ``config``; FitConvergenceError when every start failed, or when the
+    best unpenalized bernoulli start fits every response with near
+    certainty (a log-likelihood above -1e-6): the data are then separated,
+    and the maximum lies at infinity.  Dispersion and
     log-likelihood are taken at the linear predictor the best start holds:
     normalization leaves the tensor unchanged, so nothing is contracted anew.
     """
@@ -653,6 +658,15 @@ def _best_model(dataset, family, config, runs):
             best_trace=list(furthest.trace),
         )
     best = max(successes, key=lambda run: run.trace[-1])
+    unpenalized = config.penalty is None or config.penalty.rho == 0.0
+    if unpenalized and family.name == "bernoulli" and best.loglik > -1e-6:
+        raise FitConvergenceError(
+            f"complete separation at rank {config.rank}: the unpenalized fit "
+            f"reaches log-likelihood {best.loglik:.3g}, and its maximum lies at "
+            "infinity; a penalty bounds the tensor coefficients (the intercept "
+            "and covariates are not penalized)",
+            best_trace=list(best.trace),
+        )
     n, dims, p0 = dataset.n, dataset.dims, dataset.p0
     alpha, gamma = float(best.ag[0]), best.ag[1:].copy()
 
@@ -695,10 +709,12 @@ def fit(dataset, family, config, init_factors=None):
 
     Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``,
     a ``z`` collinear with the intercept, a ``y`` outside the family's
-    support, and an unpenalized fit with n at most its effective
-    parameters, or at most one factor block's plus 1 + p0.  When every restart
-    fails, FitConvergenceError carries the objective trace of the restart
-    that ran the most cycles.
+    support, a rank above 1 for a 1-mode covariate, and an unpenalized fit
+    with n at most its effective parameters, or at most one factor block's
+    plus 1 + p0.  When every restart fails, FitConvergenceError carries the
+    objective trace of the restart that ran the most cycles; it also names
+    complete separation, when an unpenalized bernoulli fit reaches a
+    log-likelihood above -1e-6.
     """
     family = get_family(family)
     _require_valid_fit_data(dataset, family)
@@ -777,8 +793,9 @@ def select_rank(dataset, family, max_rank, config):
     The restarts of every rank run in one lockstep fit, and each rank's
     model is the best of its own restarts, as in :func:`fit`.  Ties break
     toward the smaller rank.  Ranks whose fit fails, or that :func:`fit`
-    would reject for too few observations, are recorded in the table and
-    skipped; when no rank is left, the error names the first rank's.
+    would reject before fitting (too few observations, or a rank above 1
+    for a 1-mode covariate), are recorded in the table and skipped; when
+    no rank is left, the error names the first rank's.
     """
     _require_int("max_rank", max_rank, 1)
     # bad input is no per-rank failure: raise it instead of tabulating it

@@ -85,14 +85,6 @@ class DenseTensor:
         """Return the tensor as a ``dims``-shaped numpy array."""
         return self.data.reshape(self.dims, order="F")
 
-    def __eq__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.dims, self.data.tobytes()))
-
     def __repr__(self):
         return f"DenseTensor(dims={self.dims})"
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from tensorreg.io import (
     write_tensor_file,
 )
 from tensorreg.model import effective_parameters, load_model
+from tensorreg.shapes import STUDY_COLUMNS
 from tensorreg.tensor_core import DenseTensor
 
 
@@ -134,6 +136,31 @@ class TestPgm:
         with pytest.raises(DomainError, match=r"entry \(1, 2\)"):
             write_pgm(path, m)
         assert not path.exists()
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("content, read, message", [
+        pytest.param(b"TNSR" + b"\x00" * 4, parse_tensor_file,
+                     "truncated header (8 bytes, need 12)", id="header"),
+        pytest.param(b"TNSR" + struct.pack("<II", 0, 2), parse_tensor_file,
+                     "invalid header n=0, D=2 at byte 4", id="n-0"),
+        pytest.param(b"TNSR" + struct.pack("<II", 1, 3) + struct.pack("<I", 4),
+                     parse_tensor_file, "truncated dims block (16 bytes, need 24)",
+                     id="dims"),
+        pytest.param(b"", read_response_csv, "empty CSV", id="empty-csv"),
+        pytest.param(b"z1,\n1,2\n", read_covariates_csv,
+                     "covariate header must name every column", id="unnamed-column"),
+    ])
+    def test_is_named(self, tmp_path, content, read, message):
+        path = tmp_path / "file"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            read(path)
+
+    def test_pgm_of_a_vector_is_refused(self, tmp_path):
+        with pytest.raises(DomainError, match="PGM needs a 2-d array, got ndim=1"):
+            write_pgm(tmp_path / "v.pgm", np.zeros(3))
+        assert not (tmp_path / "v.pgm").exists()
 
 
 def run_cli(args):
@@ -314,6 +341,23 @@ class TestCliBenchmark:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--gamma-dim" in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_sizes_must_be_integers(self, tmp_path, capsys):
+        rc = run_cli(["benchmark", "--shape", "square", "--sizes", "100,x", "--rank", 1,
+                      "--output", tmp_path / "s.csv"])
+        assert rc == 1
+        assert "expected comma-separated integers: 100,x" in capsys.readouterr().err
+
+    def test_failed_replicates_are_warned(self, tmp_path, capsys):
+        # n = 20 is too few observations for a 16 x 16 rank-1 fit
+        out = tmp_path / "s.csv"
+        rc = run_cli(["benchmark", "--shape", "square", "--dims", 16, "--sizes", "20",
+                      "--replicates", 2, "--rank", 1, "--output", out])
+        assert rc == 0
+        err = capsys.readouterr().err
+        for rep in (0, 1):
+            assert f"warning: replicate {rep} at n=20 failed: n=20 too small" in err
+        assert out.read_text().strip().splitlines() == [",".join(STUDY_COLUMNS)]
 
     def test_rank_flags_mutually_exclusive(self, tmp_path):
         rc = run_cli(

@@ -202,10 +202,10 @@ class TestIrlsFit:
         assert err.value.rank == 2
 
     @pytest.mark.parametrize("solve", [
-        lambda X, y, offset, **kw: irls_fit(X, y, "normal", offset, max_iter=1, **kw),
+        lambda X, y, offset, **kw: irls_fit(X, y, "normal", offset, **kw),
         lambda X, y, offset, **kw: penalized_fit(X, y, "normal", offset,
                                                  penalty=PenaltySpec("lasso", 1.0),
-                                                 max_iter=1, **kw),
+                                                 **kw),
     ], ids=["irls_fit", "penalized_fit"])
     def test_spent_halvings_return_the_eta_of_the_last_halving(self, monkeypatch,
                                                                 solve):
@@ -218,6 +218,7 @@ class TestIrlsFit:
         offset = rng.standard_normal(40)
         real = glm._loglik_and_mean
         start_ll = log_likelihood("normal", y, offset)  # eta of the zeros start
+        monkeypatch.setattr(glm, "_MAX_ITER", 1)
         for held, evaluations in ((None, 1 + 40 + 1), ((offset, start_ll), 40 + 1)):
             calls = []
 
@@ -254,12 +255,18 @@ class TestHeldStart:
         eta = offset + X[:, ::-1] @ warm[::-1]
         return fam, X, y, offset, warm, (eta, log_likelihood(fam, y, eta))
 
+    @staticmethod
+    def solve(X, y, fam, offset, penalty, **kw):
+        if penalty is None:
+            return irls_fit(X, y, fam, offset, **kw)
+        return penalized_fit(X, y, fam, offset, penalty, **kw)
+
     @pytest.mark.parametrize("penalty", [None, PenaltySpec("lasso", 3.0)],
                              ids=["plain", "lasso"])
     def test_normal_fits_are_bit_identical(self, penalty):
         fam, X, y, offset, warm, held = self.problem("normal")
-        a = penalized_fit(X, y, fam, offset, penalty, warm_start=warm)
-        b = penalized_fit(X, y, fam, offset, penalty, warm_start=warm, held=held)
+        a = self.solve(X, y, fam, offset, penalty, start=warm)
+        b = self.solve(X, y, fam, offset, penalty, start=warm, held=held)
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
         np.testing.assert_array_equal(a.eta, b.eta)
         assert a.loglik == b.loglik and a.trace[-1] == b.trace[-1]
@@ -269,8 +276,8 @@ class TestHeldStart:
                              ids=["plain", "lasso"])
     def test_other_families_agree(self, name, penalty):
         fam, X, y, offset, warm, held = self.problem(name)
-        a = penalized_fit(X, y, fam, offset, penalty, warm_start=warm)
-        b = penalized_fit(X, y, fam, offset, penalty, warm_start=warm, held=held)
+        a = self.solve(X, y, fam, offset, penalty, start=warm)
+        b = self.solve(X, y, fam, offset, penalty, start=warm, held=held)
         np.testing.assert_allclose(b.coefficients, a.coefficients, rtol=1e-10,
                                    atol=1e-10)
         assert b.loglik == pytest.approx(a.loglik, rel=1e-10)
@@ -488,31 +495,19 @@ class TestBlockSolve:
         assert len(fit.trace) == 2 and fit.trace[1] > fit.trace[0]
         np.testing.assert_allclose(fit.coefficients, ols_oracle(X, y), rtol=1e-10)
         pen = penalized_fit(X, y, "normal", penalty=PenaltySpec("lasso", 5.0),
-                            warm_start=fit.coefficients)
+                            start=fit.coefficients)
         assert pen.iterations == 1 and pen.converged and len(pen.trace) == 2
 
 
 class TestPenalizedFit:
-    def test_rho_zero_equals_irls(self):
+    @pytest.mark.parametrize("penalty", [None, PenaltySpec("lasso", 0.0)],
+                             ids=["none", "rho0"])
+    def test_no_positive_penalty_names_irls_fit(self, penalty):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 5))
         y = X @ rng.standard_normal(5) + rng.standard_normal(80)
-        plain = irls_fit(X, y, "normal")
-        pen = penalized_fit(X, y, "normal", penalty=PenaltySpec("lasso", 0.0))
-        np.testing.assert_allclose(pen.coefficients, plain.coefficients, atol=1e-8)
-
-    def test_rho_zero_honours_the_warm_start(self):
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((200, 4))
-        y = get_family("bernoulli").sample(X @ np.array([1.0, -0.5, 0.3, 0.0]), rng)
-        b = irls_fit(X, y, "bernoulli").coefficients + 0.01
-        plain = irls_fit(X, y, "bernoulli", start=b, tol=1e-9)
-        pen = penalized_fit(X, y, "bernoulli", penalty=PenaltySpec("lasso", 0.0),
-                            warm_start=b)
-        assert pen.iterations == plain.iterations
-        assert pen.trace == plain.trace
-        np.testing.assert_array_equal(pen.coefficients, plain.coefficients)
-        np.testing.assert_array_equal(pen.eta, plain.eta)
+        with pytest.raises(DomainError, match="rho > 0.*fit without one by irls_fit"):
+            penalized_fit(X, y, "normal", penalty=penalty)
 
     def test_orthonormal_design_lasso_is_soft_thresholded_ols(self):
         rng = np.random.default_rng(9)
@@ -597,7 +592,7 @@ class TestPenalizedFit:
         y = X @ rng.standard_normal(5) + rng.standard_normal(80)
         spec = PenaltySpec("elastic_net", 0.5, 1.5)
         a = penalized_fit(X, y, "normal", penalty=spec)
-        b = penalized_fit(X, y, "normal", penalty=spec, warm_start=np.ones(5) * 3.0)
+        b = penalized_fit(X, y, "normal", penalty=spec, start=np.ones(5) * 3.0)
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["normal", "bernoulli"])
@@ -612,7 +607,7 @@ class TestPenalizedFit:
         spec = PenaltySpec("scad", 2.0)
         warm = 2.0 * rng.standard_normal(4)
         start = log_likelihood(fam, y, X @ warm) - np.sum(penalty_value(spec, warm))
-        fit = penalized_fit(X, y, fam, penalty=spec, warm_start=warm)
+        fit = penalized_fit(X, y, fam, penalty=spec, start=warm)
         end = log_likelihood(fam, y, X @ fit.coefficients) - np.sum(
             penalty_value(spec, fit.coefficients))
         assert fit.trace[0] == pytest.approx(start, rel=1e-12)
@@ -790,6 +785,27 @@ class TestDivergence:
         assert last.iterations == 100
         assert not last.converged
         assert np.abs(last.coefficients).max() > 10.0
+
+
+class TestSolverArguments:
+    """Mismatched shapes that the solvers and the log-likelihood name."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: log_likelihood("normal", np.zeros(3), np.zeros(4)),
+                     r"y has shape \(3,\), eta has shape \(4,\)", id="loglik"),
+        pytest.param(lambda: irls_fit(np.ones((4, 2)), np.zeros(3), "normal"),
+                     "4 design rows vs 3 responses", id="rows"),
+        pytest.param(lambda: irls_fit(np.ones((4, 2)), np.zeros(4), "normal",
+                                      np.zeros(3)),
+                     "offset length 3 != 4 observations", id="offset"),
+        pytest.param(lambda: penalized_fit(np.ones((4, 2)), np.zeros(4), "normal",
+                                           penalty=PenaltySpec("ridge", 1.0),
+                                           start=np.zeros(3)),
+                     "start has 3 entries for 2 columns", id="start"),
+    ])
+    def test_mismatch_is_named(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 class TestInputValidation:

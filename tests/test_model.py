@@ -19,6 +19,7 @@ from tensorreg.errors import (
     KRankSizeError,
 )
 from tensorreg.glm import get_family, log_likelihood
+from tensorreg.penalties import PenaltySpec
 from tensorreg.model import (
     FitConfig,
     TensorGlmDataset,
@@ -579,6 +580,80 @@ class TestFit:
 # ---------------------------------------------------------------------------
 
 
+class TestFitOutcomes:
+    """Failures that the fit names instead of returning a model."""
+
+    @staticmethod
+    def separated(by_z):
+        # y = 1{z > 0}, or y = 1{<B, x> > 0} for a rank-1 B: either the
+        # covariate or the tensor separates the responses
+        n = 60
+        z = np.linspace(-1.0, 1.0, n)
+        x = np.random.default_rng(0).standard_normal((n, 3, 3))
+        if by_z:
+            return TensorGlmDataset((z > 0).astype(float), x, z)
+        return TensorGlmDataset((x[:, 0, 0] + x[:, 0, 1] > 0).astype(float), x)
+
+    @pytest.mark.parametrize("by_z", [True, False], ids=["covariate", "tensor"])
+    def test_separated_bernoulli_data_are_named(self, by_z):
+        ds = self.separated(by_z)
+        with pytest.raises(FitConvergenceError,
+                           match="complete separation at rank 1.* a penalty bounds"):
+            fit(ds, "bernoulli", FitConfig(rank=1, restarts=2))
+        with pytest.raises(FitConvergenceError,
+                           match="no rank produced a model: complete separation "
+                                 "at rank 1"):
+            select_rank(ds, "bernoulli", 2, FitConfig(restarts=2))
+
+    def test_a_penalty_fits_tensor_separated_data(self):
+        model = fit(self.separated(by_z=False), "bernoulli",
+                    FitConfig(rank=1, restarts=2, penalty=PenaltySpec("ridge", 1.0)))
+        assert model.converged and model.loglik < -1.0
+
+    def test_vector_covariate_fits_at_rank_one_only(self, monkeypatch):
+        from tensorreg import model as model_module
+
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 6))
+        ds = TensorGlmDataset(x @ rng.standard_normal(6) + rng.standard_normal(200), x)
+        assert ds.dims == (6,) and effective_parameters((6,), 2, 0) == 7
+        model, table = select_rank(ds, "normal", 2, FitConfig(restarts=2))
+        assert model.rank == 1 and table[0]["error"] is None
+        assert model.bic == pytest.approx(-2.0 * model.loglik + np.log(200) * 7)
+        assert "1-mode covariate" in table[1]["error"]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(model_module, "irls_fit", no_solve)
+        monkeypatch.setattr(model_module, "penalized_fit", no_solve)
+        for penalty in (None, PenaltySpec("lasso", 1.0)):
+            with pytest.raises(DomainError, match="rank 2 for a 1-mode covariate: "
+                                                  "its coefficient is a vector"):
+                fit(ds, "normal", FitConfig(rank=2, restarts=2, penalty=penalty))
+
+    def test_failed_intercept_start_fails_every_start(self, monkeypatch):
+        from tensorreg import model as model_module
+
+        inner = model_module.irls_fit
+
+        def failing(design, y, family, offset=None, **kwargs):
+            if offset is None:  # the (alpha, gamma) start shared by every start
+                raise GlmDivergenceError("the intercept fit diverged")
+            return inner(design, y, family, offset=offset, **kwargs)
+
+        monkeypatch.setattr(model_module, "irls_fit", failing)
+        rng = np.random.default_rng(48)
+        ds = simulate_normal(rng, 100, random_cp(rng, (4, 3), 1), gamma=[1.0])
+        with pytest.raises(FitConvergenceError, match="all 3 restarts failed: "
+                                                      "the intercept fit diverged") as err:
+            fit(ds, "normal", FitConfig(rank=1, restarts=3))
+        assert err.value.best_trace == []
+        with pytest.raises(FitConvergenceError, match="no rank produced a model: all "
+                                                      "1 restarts failed: the intercept"):
+            select_rank(ds, "normal", 2, FitConfig(restarts=1))
+
+
 class TestReturnedModel:
     """The returned model's dispersion and log-likelihood are taken at the
     linear predictor the fit holds, not at a fresh contraction."""
@@ -649,6 +724,52 @@ class TestConfigValidation:
         ds = random_dataset(np.random.default_rng(47), 30, (3, 3))
         with pytest.raises(DomainError, match="max_rank"):
             select_rank(ds, "normal", max_rank, FitConfig(restarts=1))
+
+
+class TestArgumentErrors:
+    """Bad arguments of the dataset, the config and the model functions,
+    each named."""
+
+    @staticmethod
+    def cp():
+        return CpTensor([np.ones((2, 1)), np.ones((3, 1))])
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: TensorGlmDataset(np.zeros(0), np.zeros((0, 2, 2))),
+                     "dataset needs at least one observation", id="no-observations"),
+        pytest.param(lambda: TensorGlmDataset(np.zeros(3), np.zeros((4, 2, 2))),
+                     "4 tensors for 3 responses", id="tensor-count"),
+        pytest.param(lambda: TensorGlmDataset(np.zeros(3), np.zeros((3, 2, 2)),
+                                              np.zeros((4, 1))),
+                     "z has 4 rows for 3 responses", id="z-rows"),
+        pytest.param(lambda: FitConfig(epsilon=0.0), "epsilon must be positive",
+                     id="epsilon"),
+        pytest.param(lambda: build_block_design(
+                         TensorGlmDataset(np.zeros(3), np.zeros((3, 2, 3))),
+                         TestArgumentErrors.cp(), 3),
+                     "mode 3 out of range", id="block-mode"),
+        pytest.param(lambda: effective_parameters((3, 4), 0, 0), "rank must be >= 1",
+                     id="effective-rank"),
+        pytest.param(lambda: eta_hessian(TestArgumentErrors.cp(),
+                                         DenseTensor((3, 2), np.zeros(6))),
+                     r"dims \(2, 3\) vs \(3, 2\)", id="hessian-dims"),
+        pytest.param(lambda: k_rank(np.zeros((3, 0))),
+                     "k-rank needs at least one column", id="k-rank-empty"),
+    ])
+    def test_is_named(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_document_dims_must_match_its_factors(self):
+        doc = model_to_document(TensorGlmModel(
+            alpha=0.0, gamma=np.zeros(0), coeff=self.cp(), family=get_family("normal"),
+            phi=1.0, loglik=-1.0, bic=2.0, trace=[-1.0], converged=True,
+            restarts_used=1, n=10, p0=0,
+        ))
+        model_from_document(doc)
+        for key, value in (("dims", [3, 2]), ("rank", 2)):
+            with pytest.raises(DomainError, match="document dims/rank do not match"):
+                model_from_document(dict(doc, **{key: value}))
 
 
 class TestParameterCounts:
@@ -1125,25 +1246,21 @@ class TestModelDocument:
 
 class TestPenalizedBlockUpdate:
     def test_rho_zero_matches_unpenalized_update(self):
-        from tensorreg.glm import irls_fit, penalized_fit
+        # a zero penalty is no penalty: every block goes to irls_fit, from
+        # the same warm start and with the same stopping rule
         from tensorreg.penalties import PenaltySpec
 
         rng = np.random.default_rng(40)
-        truth = random_cp(rng, (4, 3), 2)
-        ds = simulate_normal(rng, 300, truth, gamma=[1.0])
-        coeff = random_cp(rng, (4, 3), 2)
-        alpha, gamma = 0.2, np.array([0.9])
-        design = build_block_design(ds, coeff, 1)
-        offset = alpha + ds.z @ gamma
-        updated = penalized_fit(
-            design, ds.y, "normal", offset=offset,
-            penalty=PenaltySpec("lasso", 0.0),
-            warm_start=coeff.factors[0].ravel(order="F"),
-        ).coefficients.reshape((4, 2), order="F")
-        plain = irls_fit(design, ds.y, "normal", offset=offset)
-        np.testing.assert_allclose(
-            updated.ravel(order="F"), plain.coefficients, atol=1e-8
-        )
+        ds = random_dataset(rng, 300, (4, 3), p0=1)
+        eta = 0.5 * ds.x_matrix() @ cp_to_full(random_cp(rng, (4, 3), 1)).data
+        ds = with_response(ds, get_family("bernoulli").sample(eta, rng))
+        cfg = FitConfig(rank=2, restarts=2, seed=3)
+        plain = fit(ds, "bernoulli", cfg)
+        zero = fit(ds, "bernoulli", replace(cfg, penalty=PenaltySpec("lasso", 0.0)))
+        for a, b in zip(plain.coeff.factors, zero.coeff.factors):
+            np.testing.assert_array_equal(a, b)
+        assert (plain.alpha, plain.trace) == (zero.alpha, zero.trace)
+        np.testing.assert_array_equal(plain.gamma, zero.gamma)
 
     def test_huge_rho_returns_zero_factor(self):
         from tensorreg.glm import penalized_fit
@@ -1156,7 +1273,7 @@ class TestPenalizedBlockUpdate:
         updated = penalized_fit(
             build_block_design(ds, coeff, 2), ds.y, "normal",
             offset=np.zeros(ds.n), penalty=PenaltySpec("lasso", 1e9),
-            warm_start=coeff.factors[1].ravel(order="F"),
+            start=coeff.factors[1].ravel(order="F"),
         ).coefficients.reshape((3, 1), order="F")
         assert updated.shape == (3, 1)
         assert not updated.any()

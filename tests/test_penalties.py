@@ -83,6 +83,16 @@ class TestPenaltySpec:
             PenaltySpec("scad", 1.0, np.inf)
 
 
+class TestPenaltySpecErrors:
+    @pytest.mark.parametrize("family, message", [
+        ("huber", "unknown penalty family 'huber'"),
+        ("power", r"power penalty requires an explicit lam in \(0, 2\]"),
+    ])
+    def test_is_named(self, family, message):
+        with pytest.raises(DomainError, match=message):
+            PenaltySpec(family, 1.0)
+
+
 class TestPenaltyValue:
     def test_lasso(self):
         assert penalty_value(PenaltySpec("lasso", 2.0), -3.0) == 6.0

@@ -86,6 +86,16 @@ class TestBallSignal:
             generate_ball_signal((20, 20), centers=[10])  # 10 + 15 > 20
 
 
+class TestBallSignalErrors:
+    @pytest.mark.parametrize("centers, message", [
+        ([], "need at least one ball"),
+        ([(0, 0)], "ball 1 gives 2 offsets for 3 modes"),
+    ], ids=["no-balls", "offsets"])
+    def test_is_named(self, centers, message):
+        with pytest.raises(DomainError, match=message):
+            generate_ball_signal((16, 16, 16), centers)
+
+
 class TestSimulate:
     def test_fixed_seed_reproducible_bytes(self):
         spec = SimSpec(

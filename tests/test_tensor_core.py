@@ -144,6 +144,43 @@ class TestDenseTensor:
             t.data[0] = 5.0
 
 
+class TestInvalidInput:
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: DenseTensor((), [1.0]), DomainError,
+                     "a tensor needs at least one mode", id="no-modes"),
+        pytest.param(lambda: DenseTensor.from_array(np.float64(2.0)), DomainError,
+                     "a 0-dimensional array is not a valid tensor", id="0-d-array"),
+        pytest.param(lambda: CpTensor([np.zeros((2, 2, 2))]), DomainError,
+                     "factor 1 must be a matrix, got ndim=3", id="3-d-factor"),
+        pytest.param(lambda: CpTensor([]), DomainError,
+                     "a CP tensor needs at least one factor", id="no-factors"),
+        pytest.param(lambda: CpTensor([np.zeros((3, 0))]), DomainError,
+                     "rank must be at least 1", id="rank-0"),
+        pytest.param(lambda: CpTensor([np.zeros((3, 2)), np.zeros((0, 2))]),
+                     DomainError, "factor 2 has no rows", id="empty-factor"),
+        pytest.param(lambda: CpTensor([np.zeros((3, 2)), np.zeros((4, 1))]),
+                     DimensionMismatchError, "factor 2 has 1 columns, expected rank 2",
+                     id="ranks-differ"),
+        pytest.param(lambda: stack_vec(np.zeros(3)), DomainError,
+                     r"a tensor stack needs a positive shape .*, got \(3,\)",
+                     id="flat-stack"),
+        pytest.param(lambda: khatri_rao_chain([]), DomainError,
+                     "empty Khatri-Rao chain", id="empty-chain"),
+    ])
+    def test_is_named(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    @pytest.mark.parametrize("make", [
+        lambda: DenseTensor((2,), [1.0, 2.0]),
+        lambda: CpTensor([np.ones((2, 1))]),
+    ], ids=["DenseTensor", "CpTensor"])
+    def test_is_immutable(self, make):
+        t = make()
+        with pytest.raises(AttributeError, match=f"{type(t).__name__} is immutable"):
+            t.dims = (3,)
+
+
 class TestStackVec:
     def test_arrays_of_different_shapes_name_the_first_mismatch(self):
         tensors = [np.zeros((2, 3)), np.ones((2, 3)), np.zeros((3, 2)),
