@@ -239,6 +239,7 @@ class FitConfig:
 
     ``epsilon`` is the absolute stopping threshold on the objective
     increase per outer cycle; ``None`` uses ``1e-6 * (1 + |objective|)``.
+    A ``penalty`` with ``rho = 0`` is no penalty, and is held as ``None``.
     """
 
     rank: int = 1
@@ -255,6 +256,8 @@ class FitConfig:
         _require_int("max_outer_iters", self.max_outer_iters, 1)
         _require_int("restarts", self.restarts, 1)
         _require_int("seed", self.seed, 0)
+        if self.penalty is not None and self.penalty.rho == 0.0:
+            self.penalty = None
 
 
 @dataclass
@@ -321,8 +324,8 @@ def bic_from_loglik(loglik, n, p_e):
 _BLOCK_ENTRIES = 2**15
 
 
-def build_block_design(dataset, coeff, d, *, out=None, run=_run_inline, parts=1):
-    """Design matrix for the mode-d factor update.
+def build_block_design(dataset, coeff, d, *, run=_run_inline, parts=1):
+    """Design matrix for the mode-d factor update, as a new array.
 
     Row i is ``vec(X_{i(d)} W_d)`` where ``W_d`` is the Khatri-Rao chain
     of the other factors in descending mode order, so that
@@ -337,9 +340,6 @@ def build_block_design(dataset, coeff, d, *, out=None, run=_run_inline, parts=1)
     chain and the last mode by the lower chain.  A middle mode contracts
     the upper chain first, then L, in row blocks whose intermediate stays
     within an eighth of the payload and about 256 KB.
-
-    ``out``, a float64 vector of at least ``n * R * p_d`` entries, receives
-    the design in its head, and the result is a view of it.
 
     The rows are built as ``parts`` independent contiguous ranges, handed
     as tasks to ``run(tasks)`` (by default, one after another on the
@@ -358,7 +358,7 @@ def build_block_design(dataset, coeff, d, *, out=None, run=_run_inline, parts=1)
     L = math.prod(dataset.dims[: d - 1])
     H = math.prod(dataset.dims[d:])
     x = dataset.x_matrix()
-    out = np.empty((n, R, p)) if out is None else out[: n * R * p].reshape(n, R, p)
+    out = np.empty((n, R, p))
     if d == 1:
         upper_t = factor_chain_omitting(coeff.factors, 1).T  # (R, H)
 
@@ -420,7 +420,7 @@ def _require_enough_observations(dataset, config):
             f"rank {R} for a 1-mode covariate: its coefficient is a vector, "
             "whose CP rank is 1, so only rank 1 can be fitted"
         )
-    if config.penalty is not None and config.penalty.rho != 0.0:
+    if config.penalty is not None:
         return
     for d, p in enumerate(dataset.dims, start=1):
         if n <= p * R + p0 + 1:
@@ -502,11 +502,13 @@ def _fit_lockstep(dataset, family, starts):
     its row ranges spread over the ``TENSORREG_THREADS`` workers when the
     contraction is large enough to gain from threads; each start then
     solves its block on its own column slice, the starts spread over the
-    same workers when the blocks are large enough.  Every solve starts
-    from the linear predictor and log-likelihood its start holds, which
-    the previous solve returned.  A start leaves the
-    stack when it converges, reaches its ``max_outer_iters`` or raises a
-    TensorRegError, which it keeps in ``error``.
+    same workers when the blocks are large enough.  Each design is a new
+    array, freed before the next mode's is built.  One ``update`` solves
+    every block of a cycle, the D factor blocks and then the unpenalized
+    (alpha, gamma), from the linear predictor and log-likelihood that the
+    previous solve returned.  A start leaves the stack when it converges,
+    reaches its ``max_outer_iters`` or raises a TensorRegError, which it
+    keeps in ``error``.
 
     Returns one :class:`_Start` per start, in order.
     """
@@ -528,21 +530,24 @@ def _fit_lockstep(dataset, family, starts):
         )
         return ll
 
-    def solve_block(run, d, design):
-        spec = run.config.penalty
-        kw = dict(offset=run.offset_ag, start=run.factors[d - 1].ravel(order="F"),
-                  held=(run.eta, run.loglik))
+    def update(run, design, offset, start, penalty, block):
+        """Solve a block of ``run`` from its held ``(eta, loglik)``, hold the
+        solve's, and return the block's coefficients."""
+        kw = dict(offset=offset, start=start, held=(run.eta, run.loglik))
         try:
-            if spec is not None and spec.rho > 0.0:
-                blk = penalized_fit(design, y, family, penalty=spec, **kw)
+            if penalty is None:
+                res = irls_fit(design, y, family, **kw)
             else:
-                blk = irls_fit(design, y, family, **kw)
+                res = penalized_fit(design, y, family, penalty=penalty, **kw)
         except SingularDesignError as err:
-            raise SingularDesignError(err.ncols, err.rank, block=d) from None
-        run.factors[d - 1] = blk.coefficients.reshape(
-            (dims[d - 1], run.config.rank), order="F"
-        )
-        run.eta, run.loglik = blk.eta, blk.loglik
+            raise SingularDesignError(err.ncols, err.rank, block=block) from None
+        run.eta, run.loglik = res.eta, res.loglik
+        return res.coefficients
+
+    def solve_block(run, d, design):
+        coef = update(run, design, run.offset_ag, run.factors[d - 1].ravel(order="F"),
+                      run.config.penalty, d)
+        run.factors[d - 1] = coef.reshape((dims[d - 1], run.config.rank), order="F")
 
     def end_cycle(run):
         if selfcheck:
@@ -552,11 +557,9 @@ def _fit_lockstep(dataset, family, starts):
             assert abs(ll_a - ll_b) <= 1e-9 * (1.0 + abs(ll_a)), (
                 f"linear-predictor routes disagree: {ll_a!r} vs {ll_b!r}"
             )
-        agfit = irls_fit(zdesign, y, family, offset=run.eta - run.offset_ag,
-                         start=run.ag, held=(run.eta, run.loglik))
-        run.ag = agfit.coefficients
+        # (alpha, gamma) is never penalized, and names no factor block
+        run.ag = update(run, zdesign, run.eta - run.offset_ag, run.ag, None, None)
         run.offset_ag = zdesign @ run.ag
-        run.eta, run.loglik = agfit.eta, agfit.loglik
         if selfcheck:
             check_held(run)
         # the log-likelihood at the new (alpha, gamma), with eta summed as
@@ -567,16 +570,13 @@ def _fit_lockstep(dataset, family, starts):
         threshold = eps if eps is not None else 1e-6 * (1.0 + abs(obj))
         run.converged = obj - run.trace[-2] < threshold
 
-    def task(run, d, design):
-        def step():
-            try:
-                solve_block(run, d, design)
-                if d == D:
-                    end_cycle(run)
-            except TensorRegError as err:
-                run.error = err
-
-        return step
+    def step(run, d, design):
+        try:
+            solve_block(run, d, design)
+            if d == D:
+                end_cycle(run)
+        except TensorRegError as err:
+            run.error = err
 
     runs = []
     if not starts:
@@ -610,10 +610,6 @@ def _fit_lockstep(dataset, family, starts):
         run.trace.append(run.loglik - _penalty_total(run.config.penalty, run.factors))
 
     running = list(runs)
-    # one buffer for every block design of the loop: a fresh array per
-    # mode and cycle would be mapped and page-faulted anew each time once
-    # it passes malloc's mmap threshold
-    work = np.empty(n * max(dims) * sum(run.config.rank for run in runs))
     workers = max_workers()
     with _worker_pool(workers) as run_tasks:
         while running:
@@ -624,18 +620,18 @@ def _fit_lockstep(dataset, family, starts):
                     [np.hstack([run.factors[k] for run in running]) for k in range(D)]
                 )
                 spread = n * math.prod(dims) * stacked.rank >= _SPREAD_DESIGN_SIZE
-                design = build_block_design(dataset, stacked, d, out=work,
-                                            run=run_tasks,
+                design = build_block_design(dataset, stacked, d, run=run_tasks,
                                             parts=workers if spread else 1)
                 tasks, end = [], 0
                 for run in running:  # each start's columns, in stacking order
                     start, end = end, end + dims[d - 1] * run.config.rank
-                    tasks.append(task(run, d, design[:, start:end]))
+                    tasks.append(functools.partial(step, run, d, design[:, start:end]))
                 widest = dims[d - 1] * max(run.config.rank for run in running)
                 if n * widest**2 >= _SPREAD_SOLVE_SIZE:
                     run_tasks(tasks)
                 else:
                     _run_inline(tasks)
+                del design, tasks  # freed before the next mode's design is built
                 running = [run for run in running if run.active]
     return runs
 
@@ -643,10 +639,11 @@ def _fit_lockstep(dataset, family, starts):
 def _best_model(dataset, family, config, runs):
     """The normalized model of the best of ``runs``, the starts of
     ``config``; FitConvergenceError when every start failed, or when the
-    best unpenalized bernoulli start fits every response with near
+    best bernoulli start, penalized or not, fits every response with near
     certainty (a log-likelihood above -1e-6): the data are then separated,
-    and the maximum lies at infinity.  Dispersion and
-    log-likelihood are taken at the linear predictor the best start holds:
+    and the maximum lies at infinity (a penalty bounds only the tensor
+    factors, not the covariates).  Dispersion and log-likelihood are
+    taken at the linear predictor the best start holds:
     normalization leaves the tensor unchanged, so nothing is contracted anew.
     """
     successes = [run for run in runs if run.error is None]
@@ -658,12 +655,11 @@ def _best_model(dataset, family, config, runs):
             best_trace=list(furthest.trace),
         )
     best = max(successes, key=lambda run: run.trace[-1])
-    unpenalized = config.penalty is None or config.penalty.rho == 0.0
-    if unpenalized and family.name == "bernoulli" and best.loglik > -1e-6:
+    if family.name == "bernoulli" and best.loglik > -1e-6:
         raise FitConvergenceError(
-            f"complete separation at rank {config.rank}: the unpenalized fit "
-            f"reaches log-likelihood {best.loglik:.3g}, and its maximum lies at "
-            "infinity; a penalty bounds the tensor coefficients (the intercept "
+            f"complete separation at rank {config.rank}: the fit reaches "
+            f"log-likelihood {best.loglik:.3g}, and its maximum lies at "
+            "infinity; a penalty bounds only the tensor factors (the intercept "
             "and covariates are not penalized)",
             best_trace=list(best.trace),
         )
@@ -713,7 +709,7 @@ def fit(dataset, family, config, init_factors=None):
     with n at most its effective parameters, or at most one factor block's
     plus 1 + p0.  When every restart fails, FitConvergenceError carries the
     objective trace of the restart that ran the most cycles; it also names
-    complete separation, when an unpenalized bernoulli fit reaches a
+    complete separation, when a bernoulli fit, penalized or not, reaches a
     log-likelihood above -1e-6.
     """
     family = get_family(family)
@@ -940,13 +936,11 @@ def _eta_derivatives(model, dataset):
     _, keep = free_parameter_index(coeff.dims, R)
     nfree = int(keep.sum())
     G = np.empty((n, nfree + 1 + dataset.p0))
-    work = np.empty(n * R * max(coeff.dims))
     col = at = 0
     for d, p in enumerate(coeff.dims, start=1):
         keep_d = keep[at : at + p * R]
         width = int(keep_d.sum())
-        design = build_block_design(dataset, coeff, d, out=work)
-        G[:, col : col + width] = design[:, keep_d]
+        G[:, col : col + width] = build_block_design(dataset, coeff, d)[:, keep_d]
         col, at = col + width, at + p * R
     G[:, nfree] = 1.0
     G[:, nfree + 1 :] = dataset.z

@@ -144,9 +144,9 @@ def penalty_value(spec, beta):
 
 
 def _penalty_total(spec, arrays):
-    """``sum P(|b|)`` over the entries of ``arrays``, 0.0 without a penalty.
+    """``sum P(|b|)`` over the entries of ``arrays``, 0.0 for ``None``.
     Private: the benchmark tracer opens a span per call of an ``__all__`` name."""
-    if spec is None or spec.rho == 0.0:
+    if spec is None:
         return 0.0
     return float(sum(np.sum(penalty_value(spec, a)) for a in arrays))
 

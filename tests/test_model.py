@@ -226,15 +226,18 @@ class TestBuildBlockDesign:
             assert end == design.shape[1]
 
     @pytest.mark.parametrize("dims", [(5, 4), (3, 4, 2)])
-    def test_out_buffer_holds_the_same_design(self, dims):
+    def test_each_design_is_a_new_array(self, dims):
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 7, dims)
         coeff = random_cp(rng, dims, 2)
-        work = np.full(7 * max(dims) * 2 + 3, np.nan)
+        previous = None
         for d in range(1, len(dims) + 1):
-            got = build_block_design(ds, coeff, d, out=work)
-            assert np.shares_memory(got, work)
-            assert np.array_equal(got, build_block_design(ds, coeff, d))
+            got = build_block_design(ds, coeff, d)
+            assert got.shape == (7, dims[d - 1] * 2)
+            assert not np.shares_memory(got, ds.x_matrix())
+            if previous is not None:
+                assert not np.shares_memory(got, previous)
+            previous = got
 
     @pytest.mark.parametrize("n,parts", [(53, 2), (53, 3), (2, 3)])
     @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 4)])
@@ -605,6 +608,15 @@ class TestFitOutcomes:
                                  "at rank 1"):
             select_rank(ds, "bernoulli", 2, FitConfig(restarts=2))
 
+    def test_a_penalty_does_not_bound_covariate_separation(self):
+        # the penalty bounds the tensor factors only, so gamma still runs
+        # off to infinity on data that z separates
+        with pytest.raises(FitConvergenceError,
+                           match="complete separation at rank 1.* bounds only the "
+                                 "tensor factors"):
+            fit(self.separated(by_z=True), "bernoulli",
+                FitConfig(rank=1, restarts=2, penalty=PenaltySpec("ridge", 1.0)))
+
     def test_a_penalty_fits_tensor_separated_data(self):
         model = fit(self.separated(by_z=False), "bernoulli",
                     FitConfig(rank=1, restarts=2, penalty=PenaltySpec("ridge", 1.0)))
@@ -714,6 +726,14 @@ class TestConfigValidation:
     def test_bad_value_names_the_field(self, name, value):
         with pytest.raises(DomainError, match=name):
             FitConfig(**{name: value})
+
+    def test_zero_rho_penalty_is_held_as_none(self):
+        cfg = FitConfig(penalty=PenaltySpec("lasso", 0.0))
+        assert cfg.penalty is None
+        assert replace(cfg, penalty=PenaltySpec("ridge", 0.0)).penalty is None
+        assert replace(FitConfig(penalty=PenaltySpec("lasso", 1.0)),
+                       penalty=PenaltySpec("lasso", 0.0)).penalty is None
+        assert replace(cfg, penalty=PenaltySpec("lasso", 0.5)).penalty.rho == 0.5
 
     def test_numpy_integers_accepted(self):
         cfg = FitConfig(rank=np.int64(2), restarts=np.int32(1), seed=np.uint64(7))
@@ -1246,8 +1266,8 @@ class TestModelDocument:
 
 class TestPenalizedBlockUpdate:
     def test_rho_zero_matches_unpenalized_update(self):
-        # a zero penalty is no penalty: every block goes to irls_fit, from
-        # the same warm start and with the same stopping rule
+        # a zero penalty is no penalty: FitConfig holds it as None, so
+        # every block goes to irls_fit, as in the unpenalized fit
         from tensorreg.penalties import PenaltySpec
 
         rng = np.random.default_rng(40)
