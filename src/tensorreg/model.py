@@ -602,9 +602,17 @@ def _fit_lockstep(dataset, family, starts):
                 f /= np.maximum(np.linalg.norm(f, axis=0), 1e-12)
                 factors.append(f)
         runs.append(_Start(config, factors, ag, offset_ag))
-    # one pass over the payload for every start's initial linear predictor
+    # each start's initial linear predictor from products of its own, over
+    # row blocks that stay in cache while every start reads them: a GEMM
+    # over the stacked vecs rounds a start's column unlike its single-start
+    # fit does, and the fit can carry that difference into its factors
     vecs = [cp_to_full(CpTensor(run.factors)).data for run in runs]
-    for run, eta in zip(runs, (x @ np.column_stack(vecs)).T):
+    etas = np.empty((len(runs), n))
+    rows = max(1, _BLOCK_ENTRIES // x.shape[1])
+    for s in range(0, n, rows):
+        for eta, vec in zip(etas, vecs):
+            np.matmul(x[s : s + rows], vec, out=eta[s : s + rows])
+    for run, eta in zip(runs, etas):
         run.eta = run.offset_ag + eta
         run.loglik = log_likelihood(family, y, run.eta, 1.0)
         run.trace.append(run.loglik - _penalty_total(run.config.penalty, run.factors))
