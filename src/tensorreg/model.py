@@ -91,27 +91,41 @@ def max_workers():
 
 _WORKER_PREFIX = "tensorreg-worker"
 
+# A task goes to a worker thread only if it does at least this many
+# multiply-adds; smaller ones are bound by the handoff and by interpreter
+# work under the GIL.  With one BLAS thread and two workers, block solves
+# (n * k^2 each) ran up to 2x slower than on one thread at n * k^2 <= 4.1e6
+# and took 0.72-0.92x as long from 8.2e6 on; block designs built in two
+# row ranges took 0.6-0.97x as long for 64x64 images at n=1000 and R=2-10
+# (4.1e6-2e7 per range) but 1.1-1.9x as long below 2.5e6 per range, and
+# 16^3 designs at n=500 gained little up to 6e6 per range.  More than two
+# workers are unmeasured.
+_SPREAD_WORK = 2**22
 
-def _run_inline(tasks):
+
+def _run_inline(tasks, work=None):
     return [t() for t in tasks]
 
 
 @contextlib.contextmanager
 def _worker_pool(workers):
-    """Yield ``run(tasks)``, which calls ``tasks`` and returns their results
-    in task order, on up to ``workers`` threads that live as long as the
-    ``with`` block.
+    """Yield ``run(tasks, work=inf)``, which calls ``tasks`` and returns
+    their results in task order, on up to ``workers`` threads that live as
+    long as the ``with`` block.
 
-    Called from a worker of another pool, the tasks run inline, so nested
-    fits never hold more than ``workers`` threads.
+    ``work`` is the multiply-adds of the largest task: below
+    ``_SPREAD_WORK`` the tasks run one after another on the calling
+    thread, as does a single task.  Called from a worker of another pool,
+    the tasks run inline, so nested fits never hold more than ``workers``
+    threads.
     """
     if workers <= 1 or threading.current_thread().name.startswith(_WORKER_PREFIX):
         yield _run_inline
         return
     with ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_PREFIX) as pool:
 
-        def run(tasks):
-            if len(tasks) <= 1:
+        def run(tasks, work=math.inf):
+            if len(tasks) <= 1 or work < _SPREAD_WORK:
                 return _run_inline(tasks)
             futures = [pool.submit(t) for t in tasks]
             return [f.result() for f in futures]
@@ -140,13 +154,19 @@ def _require_finite_tensors(vecs, dims):
 
 
 def _require_valid_fit_data(dataset, family):
-    """Raise DomainError for a nonfinite y or z, a z whose columns are
-    collinear with the intercept, or a y outside the family's support."""
+    """Raise DomainError for a nonfinite y or z, fewer observations than
+    intercept and covariate columns, a z whose columns are collinear with
+    the intercept, or a y outside the family's support."""
     for name, a in (("y", dataset.y), ("z", dataset.z)):
         bad = np.argwhere(~np.isfinite(a))
         if bad.size:
             at = ", ".join(str(int(k)) for k in bad[0])
             raise DomainError(f"{name}[{at}] is {a[tuple(bad[0])]}: {name} must be finite")
+    if dataset.n <= dataset.p0:
+        raise DomainError(
+            f"n={dataset.n} observations for {dataset.p0 + 1} intercept and "
+            "covariate columns"
+        )
     rank = np.linalg.matrix_rank(np.column_stack([np.ones(dataset.n), dataset.z]))
     if rank <= dataset.p0:
         raise DomainError(
@@ -342,10 +362,13 @@ def build_block_design(dataset, coeff, d, *, run=_run_inline, parts=1):
     within an eighth of the payload and about 256 KB.
 
     The rows are built as ``parts`` independent contiguous ranges, handed
-    as tasks to ``run(tasks)`` (by default, one after another on the
+    as tasks to ``run(tasks, work)`` (by default, one after another on the
     calling thread; :func:`_worker_pool` yields one that spreads them over
-    threads).  Every row is the same per-sample product whatever the
-    ranges, so the design does not depend on ``run`` or ``parts``.
+    threads when ``work`` is large enough).  The ranges differ by at most
+    one row, and ``work`` counts each at its share,
+    ``n * prod(dims) * R // parts`` multiply-adds.  Every row is the same
+    per-sample product whatever the ranges, so the design does not depend
+    on ``run`` or ``parts``.
     """
     if coeff.dims != dataset.dims:
         raise DomainError(
@@ -390,12 +413,18 @@ def build_block_design(dataset, coeff, d, *, run=_run_inline, parts=1):
 
     parts = max(1, min(parts, n))
     bounds = [n * k // parts for k in range(parts + 1)]
-    run([functools.partial(rows, s, e) for s, e in zip(bounds, bounds[1:])])
+    run([functools.partial(rows, s, e) for s, e in zip(bounds, bounds[1:])],
+        n * H * p * L * R // parts)
     return out.reshape(n, R * p)
 
 
 def effective_parameters(dims, rank, p0):
-    """Effective parameter count: intercept + covariates + free CP entries."""
+    """Effective parameter count: intercept + covariates + free CP entries.
+
+    For a matrix covariate, ``R (p_1 + p_2) - R^2`` is the dimension of the
+    rank-R matrices only while ``R <= min(p_1, p_2)``; a higher rank raises
+    DomainError.
+    """
     dims = tuple(int(p) for p in dims)
     R = int(rank)
     if R < 1:
@@ -404,6 +433,12 @@ def effective_parameters(dims, rank, p0):
     if D == 1:
         tensor_part = dims[0]
     elif D == 2:
+        if R > min(dims):
+            raise DomainError(
+                f"rank {R} for a {dims[0]}x{dims[1]} matrix covariate: its "
+                f"coefficient has matrix rank at most min(p1, p2) = {min(dims)}, "
+                f"so only ranks up to {min(dims)} can be fitted"
+            )
         tensor_part = R * (dims[0] + dims[1]) - R * R
     else:
         tensor_part = R * (sum(dims) - D + 1)
@@ -411,15 +446,17 @@ def effective_parameters(dims, rank, p0):
 
 
 def _require_enough_observations(dataset, config):
-    """Raise DomainError when a 1-mode covariate is fitted at rank > 1, or
-    when an unpenalized block, or the unpenalized model as a whole, has no
-    more observations than parameters."""
+    """Raise DomainError when a 1-mode covariate is fitted at rank > 1, a
+    matrix covariate at a rank above its smaller side, or when an
+    unpenalized block, or the unpenalized model as a whole, has no more
+    observations than parameters."""
     n, R, p0 = dataset.n, config.rank, dataset.p0
     if dataset.ndim == 1 and R > 1:
         raise DomainError(
             f"rank {R} for a 1-mode covariate: its coefficient is a vector, "
             "whose CP rank is 1, so only rank 1 can be fitted"
         )
+    p_e = effective_parameters(dataset.dims, R, p0)  # checks a matrix's rank
     if config.penalty is not None:
         return
     for d, p in enumerate(dataset.dims, start=1):
@@ -428,7 +465,6 @@ def _require_enough_observations(dataset, config):
                 f"n={n} too small for an unpenalized rank-{R} fit: block {d} "
                 f"needs more than {p * R + p0 + 1} observations"
             )
-    p_e = effective_parameters(dataset.dims, R, p0)
     if n <= p_e:
         raise DomainError(
             f"n={n} too small for an unpenalized rank-{R} fit: it has {p_e} "
@@ -476,39 +512,22 @@ class _Start:
         )
 
 
-# The per-start block solves go to the worker threads only when a block
-# design has at least this n * (p_d * R)^2.  Smaller solves are bound by
-# interpreter work under the GIL: with one BLAS thread, two threads ran
-# normal and bernoulli solves up to 2x slower than one at n * k^2 <= 4.1e6
-# and 0.72-0.92x as long from 8.2e6 on.
-_SPREAD_SOLVE_SIZE = 2**22
-
-# The stacked block design is built in TENSORREG_THREADS row ranges on the
-# worker threads only when n * prod(dims) * R (R summed over the running
-# starts) is at least this.  With one BLAS thread, two threads built 64x64
-# designs (n=1000, R=2-10, 8.2e6-4.1e7) in 0.6-0.97x the time of one, but
-# took 1.1-1.9x as long below 5e6 (2D and 3D), where the handoff outweighs
-# the contraction; 16^3 designs at n=500 gained little up to 1.2e7.
-_SPREAD_DESIGN_SIZE = 2**23
-
-
 def _fit_lockstep(dataset, family, starts):
     """Block relaxation from every start of ``starts`` at once.
 
     ``starts`` holds ``(config, rng, init_factors)`` triples, whose ranks
     may differ.  In each cycle and mode the factors of the starts still
     running are stacked column-wise into one CpTensor, so one
-    :func:`build_block_design` call reads the payload for all of them,
-    its row ranges spread over the ``TENSORREG_THREADS`` workers when the
-    contraction is large enough to gain from threads; each start then
-    solves its block on its own column slice, the starts spread over the
-    same workers when the blocks are large enough.  Each design is a new
-    array, freed before the next mode's is built.  One ``update`` solves
-    every block of a cycle, the D factor blocks and then the unpenalized
-    (alpha, gamma), from the linear predictor and log-likelihood that the
-    previous solve returned.  A start leaves the stack when it converges,
-    reaches its ``max_outer_iters`` or raises a TensorRegError, which it
-    keeps in ``error``.
+    :func:`build_block_design` call reads the payload for all of them, in
+    one row range per ``TENSORREG_THREADS`` worker; each start then solves
+    its block on its own column slice.  The ranges, and the solves, go to
+    the workers by the one rule of :func:`_worker_pool`.  Each design is a
+    new array, freed before the next mode's is built.  One ``update``
+    solves every block of a cycle, the D factor blocks and then the
+    unpenalized (alpha, gamma), from the linear predictor and
+    log-likelihood that the previous solve returned.  A start leaves the
+    stack when it converges, reaches its ``max_outer_iters`` or raises a
+    TensorRegError, which it keeps in ``error``.
 
     Returns one :class:`_Start` per start, in order.
     """
@@ -516,19 +535,6 @@ def _fit_lockstep(dataset, family, starts):
     D = len(dims)
     y, x = dataset.y, dataset.x_matrix()
     zdesign = np.hstack([np.ones((n, 1)), dataset.z])
-    # TENSORREG_SELFCHECK=1 cross-checks, every cycle, each start's
-    # incrementally maintained linear predictor against a fresh
-    # densify-and-contract, and its held log-likelihood against a fresh
-    # evaluation.
-    selfcheck = os.environ.get("TENSORREG_SELFCHECK") == "1"
-
-    def check_held(run):
-        ll = log_likelihood(family, y, run.eta, 1.0)
-        assert abs(run.loglik - ll) <= 1e-9 * (1.0 + abs(ll)), (
-            f"held log-likelihood {run.loglik!r} is not that of the held "
-            f"linear predictor, {ll!r}"
-        )
-        return ll
 
     def update(run, design, offset, start, penalty, block):
         """Solve a block of ``run`` from its held ``(eta, loglik)``, hold the
@@ -550,18 +556,9 @@ def _fit_lockstep(dataset, family, starts):
         run.factors[d - 1] = coef.reshape((dims[d - 1], run.config.rank), order="F")
 
     def end_cycle(run):
-        if selfcheck:
-            eta_direct = x @ cp_to_full(CpTensor(run.factors)).data
-            ll_a = check_held(run)
-            ll_b = log_likelihood(family, y, run.offset_ag + eta_direct, 1.0)
-            assert abs(ll_a - ll_b) <= 1e-9 * (1.0 + abs(ll_a)), (
-                f"linear-predictor routes disagree: {ll_a!r} vs {ll_b!r}"
-            )
         # (alpha, gamma) is never penalized, and names no factor block
         run.ag = update(run, zdesign, run.eta - run.offset_ag, run.ag, None, None)
         run.offset_ag = zdesign @ run.ag
-        if selfcheck:
-            check_held(run)
         # the log-likelihood at the new (alpha, gamma), with eta summed as
         # the initial objective sums it
         obj = run.loglik - _penalty_total(run.config.penalty, run.factors)
@@ -627,18 +624,14 @@ def _fit_lockstep(dataset, family, starts):
                 stacked = CpTensor(
                     [np.hstack([run.factors[k] for run in running]) for k in range(D)]
                 )
-                spread = n * math.prod(dims) * stacked.rank >= _SPREAD_DESIGN_SIZE
                 design = build_block_design(dataset, stacked, d, run=run_tasks,
-                                            parts=workers if spread else 1)
+                                            parts=workers)
                 tasks, end = [], 0
                 for run in running:  # each start's columns, in stacking order
                     start, end = end, end + dims[d - 1] * run.config.rank
                     tasks.append(functools.partial(step, run, d, design[:, start:end]))
                 widest = dims[d - 1] * max(run.config.rank for run in running)
-                if n * widest**2 >= _SPREAD_SOLVE_SIZE:
-                    run_tasks(tasks)
-                else:
-                    _run_inline(tasks)
+                run_tasks(tasks, n * widest**2)
                 del design, tasks  # freed before the next mode's design is built
                 running = [run for run in running if run.active]
     return runs
@@ -712,8 +705,9 @@ def fit(dataset, family, config, init_factors=None):
     restart (used e.g. to study sensitivity to initialization).
 
     Raises DomainError, before any fitting, for a nonfinite ``y`` or ``z``,
-    a ``z`` collinear with the intercept, a ``y`` outside the family's
-    support, a rank above 1 for a 1-mode covariate, and an unpenalized fit
+    n at most p0, a ``z`` collinear with the intercept, a ``y`` outside the
+    family's support, a rank above 1 for a 1-mode covariate or above
+    min(p_1, p_2) for a matrix covariate, and an unpenalized fit
     with n at most its effective parameters, or at most one factor block's
     plus 1 + p0.  When every restart fails, FitConvergenceError carries the
     objective trace of the restart that ran the most cycles; it also names
@@ -798,8 +792,9 @@ def select_rank(dataset, family, max_rank, config):
     model is the best of its own restarts, as in :func:`fit`.  Ties break
     toward the smaller rank.  Ranks whose fit fails, or that :func:`fit`
     would reject before fitting (too few observations, or a rank above 1
-    for a 1-mode covariate), are recorded in the table and skipped; when
-    no rank is left, the error names the first rank's.
+    for a 1-mode covariate or above min(p_1, p_2) for a matrix covariate),
+    are recorded in the table and skipped; when no rank is left, the error
+    names the first rank's.
     """
     _require_int("max_rank", max_rank, 1)
     # bad input is no per-rank failure: raise it instead of tabulating it

@@ -260,7 +260,7 @@ class TestBuildBlockDesign:
 
         with _worker_pool(2) as run:
 
-            def spread(tasks):
+            def spread(tasks, work):  # on the workers whatever the work
                 return run([recording(t) for t in tasks])
 
             for d in range(1, len(dims) + 1):
@@ -442,14 +442,16 @@ class TestFit:
         for a, b in zip(model.coeff.factors, renorm.factors):
             np.testing.assert_array_equal(a, b)
 
-    def test_objective_equivalent_every_iteration(self, monkeypatch):
-        # internal self-check compares both eta routes at every outer cycle
-        monkeypatch.setenv("TENSORREG_SELFCHECK", "1")
+    def test_objective_equivalent_every_iteration(self, held_state_check):
+        # the suite's held-state check (conftest.py) compares both eta
+        # routes at every block solve: at least the 3 factor blocks and
+        # (alpha, gamma) of every cycle of the returned start
         rng = np.random.default_rng(60)
         truth = random_cp(rng, (4, 4, 3), 2)
         ds = simulate_normal(rng, 400, truth, gamma=[1.0])
         model = fit(ds, "normal", FitConfig(rank=2, restarts=2, seed=14))
         assert model.converged
+        assert held_state_check.calls >= 4 * (len(model.trace) - 1)
 
     def test_objective_equivalent_through_both_routes(self):
         rng = np.random.default_rng(13)
@@ -546,13 +548,28 @@ class TestFit:
         with pytest.raises(DomainError, match="n=80 .* 90 effective parameters"):
             fit(ds, "normal", FitConfig(rank=3, restarts=1))
 
-    def test_covariates_collinear_with_the_intercept_rejected(self):
+    @pytest.mark.parametrize("penalty", [None, PenaltySpec("ridge", 0.1)],
+                             ids=["unpenalized", "ridge"])
+    @pytest.mark.parametrize("n,p0,message", [
+        (3, 5, "n=3 observations for 6 intercept and covariate columns"),
+        (200, 2, r"z is collinear with the intercept: \[1, z\] has rank 2 of 3"),
+    ], ids=["few_observations", "collinear"])
+    def test_intercept_and_covariate_columns_name_the_cause(self, n, p0, message,
+                                                            penalty):
         rng = np.random.default_rng(49)
-        z = np.column_stack([rng.standard_normal(200), np.ones(200)])
-        ds = TensorGlmDataset(rng.standard_normal(200),
-                              rng.standard_normal((200, 6, 6)), z)
-        with pytest.raises(DomainError, match=r"z .*\[1, z\] has rank 2 of 3"):
-            fit(ds, "normal", FitConfig(rank=1, restarts=2))
+        z = rng.standard_normal((n, p0))
+        z[:, -1] = 1.0  # collinear with the intercept once n > p0
+        ds = TensorGlmDataset(rng.standard_normal(n), rng.standard_normal((n, 6, 6)), z)
+        with pytest.raises(DomainError, match=message):
+            fit(ds, "normal", FitConfig(rank=1, restarts=2, penalty=penalty))
+
+    @pytest.mark.parametrize("penalty", [None, PenaltySpec("ridge", 0.1)],
+                             ids=["unpenalized", "ridge"])
+    def test_matrix_rank_above_the_smaller_side_rejected(self, penalty):
+        ds = random_dataset(np.random.default_rng(62), 600, (4, 4))
+        with pytest.raises(DomainError, match=r"rank 5 for a 4x4 matrix covariate: .*"
+                           r"min\(p1, p2\) = 4, so only ranks up to 4"):
+            fit(ds, "normal", FitConfig(rank=5, restarts=1, penalty=penalty))
 
     def test_image_row_zero_in_every_sample_names_the_block(self):
         rng = np.random.default_rng(50)
@@ -581,6 +598,31 @@ class TestFit:
 # ---------------------------------------------------------------------------
 # Model size accounting and rank selection
 # ---------------------------------------------------------------------------
+
+
+class TestHeldStateCheck:
+    """The suite's check of every block solve's held state (conftest.py)."""
+
+    @pytest.mark.parametrize("perturbed,message", [
+        ("loglik", "held log-likelihood"),
+        ("eta", "linear-predictor routes disagree"),
+    ])
+    def test_held_state_off_by_1e_6_raises(self, held_state_check, perturbed,
+                                           message):
+        rng = np.random.default_rng(61)
+        fam = get_family("normal")
+        design, start = rng.standard_normal((50, 3)), rng.standard_normal(3)
+        offset, y = rng.standard_normal(50), rng.standard_normal(50)
+        eta = design @ start + offset
+        held_state_check(design, y, fam, offset, start,
+                         (eta, log_likelihood(fam, y, eta)))
+        if perturbed == "eta":  # its log-likelihood held with it
+            eta = eta * (1.0 + 1e-6)
+        loglik = log_likelihood(fam, y, eta)
+        if perturbed == "loglik":
+            loglik *= 1.0 + 1e-6
+        with pytest.raises(AssertionError, match=message):
+            held_state_check(design, y, fam, offset, start, (eta, loglik))
 
 
 class TestFitOutcomes:
@@ -798,6 +840,11 @@ class TestParameterCounts:
         assert effective_parameters((256, 256, 198), 1, 0) == 709
         assert effective_parameters((2, 2), 1, 0) == 4
 
+    def test_matrix_rank_above_the_smaller_side_raises(self):
+        assert effective_parameters((4, 6), 4, 0) == 1 + 4 * 10 - 16
+        with pytest.raises(DomainError, match=r"min\(p1, p2\) = 4"):
+            effective_parameters((4, 6), 5, 0)
+
     def test_raw_count(self):
         assert raw_parameter_count((64, 64), 3, 5) == 5 + 1 + 3 * 128
 
@@ -829,6 +876,19 @@ class TestBicAndSelection:
         assert [row["error"] is None for row in table] == [True, True, False]
         assert "90 effective parameters" in table[2]["error"]
         assert model.rank <= 2
+
+    def test_ridge_selection_tabulates_matrix_ranks_above_the_smaller_side(self):
+        rng = np.random.default_rng(63)
+        ds = simulate_normal(rng, 600, random_cp(rng, (4, 4), 1))
+        cfg = FitConfig(restarts=1, seed=2, penalty=PenaltySpec("ridge", 0.1))
+        model, table = select_rank(ds, "normal", 9, cfg)
+        assert model.rank <= 4
+        assert [row["rank"] for row in table] == list(range(1, 10))
+        assert all(row["error"] is None for row in table[:4])
+        for row in table[4:]:
+            assert row["bic"] is None
+            assert f"rank {row['rank']} for a 4x4 matrix covariate" in row["error"]
+            assert "only ranks up to 4 can be fitted" in row["error"]
 
     def test_collinear_covariates_rejected_before_any_rank(self):
         rng = np.random.default_rng(52)
@@ -1372,6 +1432,35 @@ class TestWorkerParallelism:
         with pytest.warns(RuntimeWarning, match=f"'{value}' is not a positive"):
             assert max_workers() == 1
 
+    @pytest.mark.parametrize("work,on_workers", [(2**22 - 1, False), (2**22, True)])
+    def test_tasks_spread_from_2_22_multiply_adds(self, work, on_workers):
+        import threading
+
+        from tensorreg.model import _worker_pool
+
+        def name():
+            return threading.current_thread().name
+
+        with _worker_pool(2) as run:
+            names = run([name, name], work)
+        assert [n.startswith("tensorreg-worker") for n in names] == [on_workers] * 2
+
+    @pytest.mark.parametrize("n,parts", [(7, 2), (7, 3), (2, 3)])
+    def test_a_design_range_counts_its_share_of_the_work(self, n, parts):
+        # n * prod(dims) * R // 2 >= 2**22 exactly when n * prod(dims) * R
+        # >= 2**23, so at 2 workers a design spreads from 2**23 in total
+        ds = random_dataset(np.random.default_rng(64), n, (3, 4))
+        coeff = random_cp(np.random.default_rng(65), (3, 4), 2)
+        seen = []
+
+        def recording(tasks, work):
+            seen.append((len(tasks), work))
+            return [t() for t in tasks]
+
+        build_block_design(ds, coeff, 1, run=recording, parts=parts)
+        ranges = min(n, parts)
+        assert seen == [(ranges, n * 12 * 2 // ranges)]
+
     def test_nested_pools_stay_within_thread_cap(self, monkeypatch):
         import threading
 
@@ -1422,7 +1511,8 @@ class TestWorkerParallelism:
                 return call
 
             return inner_design(
-                *args, run=lambda tasks: run([record(t) for t in tasks]), **kwargs
+                *args, run=lambda tasks, work: run([record(t) for t in tasks], work),
+                **kwargs
             )
 
         monkeypatch.setattr(model_module, "irls_fit", recording_block_solve)
