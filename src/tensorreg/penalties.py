@@ -4,8 +4,8 @@ A penalty is a scalar function ``P(|beta|; rho, lam)`` added (negated) to
 the log-likelihood of every penalized coefficient.  Supported families:
 
 * ``power``: ``rho * |beta|**lam`` with ``lam`` in (0, 2]; ``lasso`` and
-  ``ridge`` are aliases for lam = 1 and lam = 2, and ``bridge`` for
-  lam = 0.5.
+  ``ridge`` are aliases for lam = 1 and lam = 2, and ``bridge`` for any
+  lam, 0.5 by default.
 * ``elastic_net``: ``rho * ((lam - 1) * beta**2 / 2 + (2 - lam) * |beta|)``
   with ``lam`` in [1, 2].
 * ``scad``: the three-piece penalty whose derivative is
@@ -24,14 +24,20 @@ from .errors import DomainError
 __all__ = ["PenaltySpec", "penalty_value", "threshold_update"]
 
 _DEFAULT_LAMBDA = {"elastic_net": 1.5, "scad": 3.7, "bridge": 0.5}
+_POWER_ALIASES = {"lasso": 1.0, "ridge": 2.0}
+# A cap on the Newton steps of one bridge threshold; a handful reach the
+# root to rounding.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
     """A penalty family with tuning constant ``rho`` and family index ``lam``.
 
-    ``lasso``, ``ridge`` and ``bridge`` canonicalize to the power family
-    with lam 1, 2 and 0.5.  ``rho = 0`` means no penalty for any family.
+    ``lasso``, ``ridge`` and ``bridge`` canonicalize to the power family,
+    with lam 1, 2 and the given lam (0.5 when None); lasso or ridge given
+    another lam raises DomainError.  ``rho = 0`` means no penalty for any
+    family.
     """
 
     family: str
@@ -41,12 +47,15 @@ class PenaltySpec:
     def __post_init__(self):
         family = self.family.lower()
         lam = self.lam
-        if family == "lasso":
-            family, lam = "power", 1.0
-        elif family == "ridge":
-            family, lam = "power", 2.0
+        if family in _POWER_ALIASES:
+            fixed = _POWER_ALIASES[family]
+            if lam is not None and lam != fixed:  # also catches NaN
+                raise DomainError(
+                    f"{family} is the power penalty with lam {fixed:g}, got lam {lam}")
+            family, lam = "power", fixed
         elif family == "bridge":
-            family, lam = "power", _DEFAULT_LAMBDA["bridge"]
+            family = "power"
+            lam = _DEFAULT_LAMBDA["bridge"] if lam is None else lam
         if family not in ("power", "elastic_net", "scad"):
             raise DomainError(f"unknown penalty family {self.family!r}")
         if lam is None:
@@ -184,27 +193,43 @@ def _scad_threshold(rho, lam, z, w):
 
 
 def _power_threshold(rho, lam, z, w):
-    # imported here: only the bridge family needs scipy.optimize, and it
-    # is slow to import
-    from scipy.optimize import minimize_scalar
-
-    def f(b):
-        return 0.5 * w * (b - z) ** 2 + rho * abs(b) ** lam
-
-    # Interior minimizer lies in (0, z]; compare against the boundary b = 0,
-    # which is always a local minimum when lam < 1.
-    res = minimize_scalar(f, bounds=(0.0, z), method="bounded", options={"xatol": 1e-14})
-    best = float(res.x) if res.fun <= f(0.0) else 0.0
-    return best if f(best) <= f(z) else z
+    # argmin over b >= 0 of (w/2)(b - z)^2 + rho b^lam for z > 0: 0 or a root
+    # of w(b - z) + rho lam b^(lam-1) (Marjanovic & Solo, IEEE TSP 2012).
+    # Newton runs on an increasing convex form of that equation from the
+    # right of its root, so the iterates fall monotonically onto it: on b
+    # itself for lam < 1, and on u = b^(lam-1) for lam in (1, 2).
+    c = rho * lam / w
+    if lam > 1.0:
+        p = 1.0 / (lam - 1.0)
+        u = z ** (lam - 1.0)
+        for _ in range(_NEWTON_STEPS):
+            new = u - (u**p - z + c * u) / (p * u ** (p - 1.0) + c)
+            if not 0.0 < new < u:  # also stops at NaN
+                break
+            u = new
+        return u**p
+    # the closed-form cut: the root at which f equals f(0) lies at b = cut,
+    # where z = cut + c cut^(lam-1); for smaller z the minimizer is 0
+    cut = (2.0 * rho * (1.0 - lam) / w) ** (1.0 / (2.0 - lam))
+    if z < cut + c * cut ** (lam - 1.0):
+        return 0.0
+    b = z
+    for _ in range(_NEWTON_STEPS):
+        g = b - z + c * b ** (lam - 1.0)
+        new = b - g / (1.0 + c * (lam - 1.0) * b ** (lam - 2.0))
+        if not 0.0 < new < b:
+            break
+        b = new
+    return b if 0.5 * w * (b - z) ** 2 + rho * b**lam <= 0.5 * w * z * z else 0.0
 
 
 def threshold_update(spec, z, quad_weight):
     """Minimize ``(quad_weight/2) * (beta - z)**2 + P(|beta|; rho, lam)``.
 
     Elementwise over broadcast arrays; a float for scalar input.  Closed
-    forms for lasso, ridge, elastic net, and SCAD; safeguarded
-    one-dimensional minimization for the remaining power exponents.  Odd
-    in ``z`` for every family.
+    forms for lasso, ridge, elastic net, and SCAD; for the remaining power
+    exponents, the closed-form cut to zero and Newton's method on the
+    stationarity equation.  Odd in ``z`` for every family.
     """
     w = np.asarray(quad_weight, dtype=np.float64)
     if not np.all(w > 0.0):  # also catches NaN

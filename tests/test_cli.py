@@ -476,3 +476,21 @@ class TestCliExitCodes:
         model = load_model(outdir / "model.json")
         assert model.penalty is not None
         assert model.penalty.family == "power" and model.penalty.lam == 1.0
+
+    def test_bridge_fits_the_given_lam(self, sim_dir, tmp_path, capsys):
+        def run(outdir, penalty, lam):
+            return run_cli(
+                ["fit", "--tensors", sim_dir / "x.tnsr", "--response",
+                 sim_dir / "response.csv", "--rank", 1, "--restarts", 1,
+                 "--max-outer-iters", 5, "--penalty", penalty, "--rho", 5.0,
+                 "--lam", lam, "--output-dir", outdir]
+            )
+
+        assert run(tmp_path / "bridge", "bridge", 0.3) in (0, 2)
+        model = load_model(tmp_path / "bridge" / "model.json")
+        assert model.penalty.family == "power" and model.penalty.lam == 0.3
+        capsys.readouterr()
+        assert run(tmp_path / "lasso", "lasso", 0.3) == 1
+        err = capsys.readouterr().err
+        assert "lasso is the power penalty with lam 1, got lam 0.3" in err
+        assert not (tmp_path / "lasso").exists()

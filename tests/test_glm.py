@@ -116,6 +116,21 @@ class TestLogLikelihood:
         with pytest.raises(DomainError):
             log_likelihood("normal", [1.0], [np.inf])
 
+    def test_poisson_log_factorial_matches_gammaln(self):
+        special = pytest.importorskip("scipy.special")
+        ys = np.concatenate([np.arange(200.0), np.linspace(0.0, 50.0, 501),
+                             np.geomspace(1e-6, 1e6, 501)])
+        for y in ys:
+            # at eta = 0 the log-likelihood is exactly -1 - log(y!); an
+            # integer y below 256 is looked up, any other y evaluated
+            ref = -1.0 - special.gammaln(y + 1.0)
+            got = log_likelihood("poisson", [y], [0.0])
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), y
+        # an array with a non-integer entry is evaluated at every entry
+        ref = special.gammaln(ys + 1.0)
+        got = -get_family("poisson").c(ys, 1.0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
     @pytest.mark.parametrize("name", ["normal", "bernoulli", "poisson"])
     def test_gradient_matches_finite_differences(self, name):
         # Canonical-link gradient wrt coefficients is X' (y - mu) / a(phi).
@@ -583,6 +598,44 @@ class TestPenalizedFit:
         X = rng.standard_normal((150, 6))
         y = fam.sample(X @ (0.4 * rng.standard_normal(6)), rng)
         fit = penalized_fit(X, y, fam, penalty=PenaltySpec("lasso", 2.0))
+        t = np.asarray(fit.trace)
+        assert np.all(np.diff(t) >= -1e-10 * (1.0 + np.abs(t[:-1])))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5])
+    def test_bridge_sweeps_end_before_their_cap(self, monkeypatch, lam):
+        # the bridge threshold is exact to rounding, so the sweeps of each
+        # quadratic step meet their tolerance instead of running to the cap
+        calls = [0]
+        rule_of = PenaltySpec.threshold_rule
+
+        def counting_rule(spec):
+            rule = rule_of(spec)
+
+            def counted(z, w):
+                calls[0] += 1
+                return rule(z, w)
+
+            return counted
+
+        sweeps = []
+        cd = glm._cd_on_quadratic
+
+        def counted_cd(G, cvec, beta, spec, tol, max_sweeps):
+            before = calls[0]
+            out = cd(G, cvec, beta, spec, tol, max_sweeps)
+            sweeps.append((calls[0] - before) / beta.size)
+            return out
+
+        monkeypatch.setattr(PenaltySpec, "threshold_rule", counting_rule)
+        monkeypatch.setattr(glm, "_cd_on_quadratic", counted_cd)
+        # 32 equicorrelated columns (correlation 0.3), small dense signal
+        rng = np.random.default_rng(0)
+        X = np.sqrt(0.7) * rng.standard_normal((200, 32))
+        X += np.sqrt(0.3) * rng.standard_normal((200, 1))
+        y = 0.15 * X @ rng.standard_normal(32) + rng.standard_normal(200)
+        fit = penalized_fit(X, y, "normal", penalty=PenaltySpec("bridge", 3.0, lam))
+        assert fit.converged and sweeps
+        assert max(sweeps) < glm._MAX_SWEEPS
         t = np.asarray(fit.trace)
         assert np.all(np.diff(t) >= -1e-10 * (1.0 + np.abs(t[:-1])))
 

@@ -1,8 +1,7 @@
 """Cold-start guards: what importing tensorreg and running a fit loads.
 
 Each case runs in a fresh interpreter, so a module one case loads cannot
-hide a lazy import of another.  scipy is imported only by the Poisson
-log(y!) constant and the bridge penalty's scalar minimizer.
+hide a lazy import of another.
 """
 
 import json
@@ -14,6 +13,8 @@ import textwrap
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+NUMPY_ONLY_CLI = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "numpy_only_cli.py")
 
 # Tiny datasets on a 6x6 grid; the fit under test runs after the snapshot.
 _DATA = """
@@ -40,10 +41,22 @@ def cfg(rank=1, penalty=None):
                         penalty=penalty)
 """
 
+
+def _penalized(family, rho=5.0):
+    return f'tr.fit(ds, "normal", cfg(2, tr.PenaltySpec("{family}", {rho})))'
+
+
+# case: (family of the data, the fit)
 FIT_CALLS = {
-    "normal_fit": 'tr.fit(ds, "normal", cfg())',
-    "lasso_fit": 'tr.fit(ds, "normal", cfg(2, tr.PenaltySpec("lasso", 5.0)))',
-    "bernoulli_select_rank": 'tr.select_rank(ds, "bernoulli", 2, cfg())',
+    "normal_fit": ("normal", 'tr.fit(ds, "normal", cfg())'),
+    "poisson_fit": ("poisson", 'tr.fit(ds, "poisson", cfg())'),
+    "lasso_fit": ("normal", _penalized("lasso")),
+    "ridge_fit": ("normal", _penalized("ridge")),
+    "elastic_net_fit": ("normal", _penalized("elastic_net")),
+    "scad_fit": ("normal", _penalized("scad")),
+    "bridge_fit": ("normal", _penalized("bridge")),
+    "bernoulli_select_rank": ("bernoulli",
+                              'tr.select_rank(ds, "bernoulli", 2, cfg())[0]'),
 }
 
 
@@ -71,24 +84,22 @@ def test_import_loads_no_scipy(module):
 
 @pytest.mark.parametrize("case", sorted(FIT_CALLS))
 def test_fit_imports_nothing(case):
-    family = "bernoulli" if case.startswith("bernoulli") else "normal"
+    family, call = FIT_CALLS[case]
     added = run_fresh(_DATA + f"""
 ds = data({family!r})
 before = set(sys.modules)
-{FIT_CALLS[case]}
+model = {call}
+assert np.isfinite(model.loglik)
 print(json.dumps(sorted(set(sys.modules) - before)))
 """)
     assert added == []
 
 
-@pytest.mark.parametrize("family,penalty,module", [
-    ("poisson", "None", "scipy.special"),
-    ("normal", 'tr.PenaltySpec("bridge", 5.0)', "scipy.optimize"),
-])
-def test_lazy_scipy_paths_still_fit(family, penalty, module):
-    result = run_fresh(_DATA + f"""
-ds = data({family!r})
-model = tr.fit(ds, {family!r}, cfg(penalty={penalty}))
-print(json.dumps([bool(np.isfinite(model.loglik)), {module!r} in sys.modules]))
-""")
-    assert result == [True, True]
+def test_cli_runs_without_scipy(tmp_path):
+    # the script makes every import of scipy fail before it imports tensorreg
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, NUMPY_ONLY_CLI, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "every command ran without scipy"

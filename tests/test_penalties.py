@@ -32,6 +32,19 @@ def threshold_oracle(spec, z, w, half_width=None):
     return 0.0 if f(0.0) <= f(best) else best
 
 
+def bridge_cut(rho, lam, w):
+    """The z below which 0 minimizes ``(w/2)(b - z)**2 + rho * |b|**lam``.
+
+    For lam < 1 (Marjanovic & Solo, IEEE TSP 2012): at the cut the nonzero
+    stationary point ``b`` ties with 0, ``b**(2 - lam) = 2 rho (1 - lam) / w``
+    and ``z = b + (rho lam / w) b**(lam - 1)``.  0 for lam > 1.
+    """
+    if lam > 1.0:
+        return 0.0
+    b = (2.0 * rho * (1.0 - lam) / w) ** (1.0 / (2.0 - lam))
+    return b + rho * lam / w * b ** (lam - 1.0)
+
+
 ORACLE_SPECS = pytest.mark.parametrize(
     "spec",
     [
@@ -53,8 +66,24 @@ ORACLE_W = [0.6, 1.0, 2.4]
 class TestPenaltySpec:
     def test_lasso_ridge_canonicalize_to_power(self):
         assert PenaltySpec("lasso", 1.0) == PenaltySpec("power", 1.0, 1.0)
+        assert PenaltySpec("lasso", 1.0, 1.0) == PenaltySpec("power", 1.0, 1.0)
         assert PenaltySpec("ridge", 2.5) == PenaltySpec("power", 2.5, 2.0)
+        assert PenaltySpec("ridge", 2.5, 2) == PenaltySpec("power", 2.5, 2.0)
         assert PenaltySpec("bridge", 1.0).lam == 0.5
+
+    @pytest.mark.parametrize("lam", [0.3, 1.5, 2.0])
+    def test_bridge_keeps_an_explicit_lambda(self, lam):
+        assert PenaltySpec("bridge", 1.0, lam) == PenaltySpec("power", 1.0, lam)
+
+    @pytest.mark.parametrize("family, lam, fixed", [
+        ("lasso", 2.0, 1), ("lasso", 0.5, 1), ("lasso", np.nan, 1),
+        ("ridge", 0.7, 2), ("ridge", 1.0, 2),
+    ])
+    def test_alias_refuses_another_lambda(self, family, lam, fixed):
+        with pytest.raises(DomainError,
+                           match=rf"{family} is the power penalty with lam {fixed}, "
+                                 rf"got lam {lam}"):
+            PenaltySpec(family, 1.0, lam)
 
     def test_default_lambdas(self):
         assert PenaltySpec("scad", 1.0).lam == 3.7
@@ -62,7 +91,8 @@ class TestPenaltySpec:
 
     @pytest.mark.parametrize(
         "family,lam",
-        [("power", 0.0), ("power", 2.5), ("elastic_net", 0.5), ("scad", 2.0)],
+        [("power", 0.0), ("power", 2.5), ("elastic_net", 0.5), ("scad", 2.0),
+         ("bridge", 0.0), ("bridge", 2.5), ("bridge", np.nan)],
     )
     def test_lambda_domains(self, family, lam):
         with pytest.raises(DomainError):
@@ -181,6 +211,28 @@ class TestThresholdUpdate:
         for z in np.linspace(0.05, 6.0, 40):
             for w in (0.5, 1.0, 3.0):
                 assert threshold_update(spec, -z, w) == -threshold_update(spec, z, w)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.8, 1.2, 1.5, 1.9])
+    def test_bridge_threshold_is_the_minimizer(self, lam):
+        # z on both sides of the cut below which the threshold is 0 (for
+        # lam > 1 the cut is 0, so the first z is negative), and far beyond
+        for rho in (0.1, 1.0, 10.0):
+            for w in (0.1, 1.0, 10.0):
+                cut = bridge_cut(rho, lam, w)
+                for z in (cut - 1e-9, cut + 1e-9, 2.0 * cut + 1.0, 1e3):
+                    spec = PenaltySpec("power", rho, lam)
+
+                    def f(b):
+                        return 0.5 * w * (b - z) ** 2 + penalty_value(spec, b)
+
+                    got = threshold_update(spec, z, w)
+                    best = f(threshold_oracle(spec, z, w))
+                    case = (rho, w, z, got)
+                    assert f(got) <= best + 1e-12 * (1.0 + abs(best)), case
+                    if got != 0.0:
+                        b = abs(got)
+                        grad = w * (b - abs(z)) + rho * lam * b ** (lam - 1.0)
+                        assert abs(grad) <= 1e-9 * (1.0 + w * abs(z)), case
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DomainError):
