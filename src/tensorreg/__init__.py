@@ -30,7 +30,6 @@ from .model import (
     build_block_design,
     check_uniqueness,
     effective_parameters,
-    eta_gradient,
     eta_hessian,
     fit,
     k_rank,

@@ -510,9 +510,11 @@ def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
     leaves the support and the signs unchanged, and the sweep that meets
     ``tol``, are followed by the same exact solve on that active set
     (Friedman, Hastie & Tibshirani, JSS 2010), so that both paths return
-    the same solve of the same pattern.  A solve is returned only if it is
-    a fixed point of the sweep to within ``tol``, the step bound plain
-    coordinate descent stops at.
+    the same solve of the same pattern.  The support leaves out entries
+    within ``tol`` of zero: at a knot of the penalty both paths return the
+    sparser pattern's solve (see :func:`_exact_finish`).  A solve is
+    returned only if it is a fixed point of the sweep to within ``tol``,
+    the step bound plain coordinate descent stops at.
     """
     finish = spec.quadratic_piece is not None
     if finish:
@@ -541,7 +543,9 @@ def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
                     delta = abs(step)
         done = delta <= tol
         if finish:
-            before, signs = signs, np.sign(b)
+            # rounding noise about zero makes no pattern (see _exact_finish)
+            now = np.array(b)
+            before, signs = signs, np.where(np.abs(now) > tol, np.sign(now), 0.0)
             # the candidate depends on the sign pattern only: try each once
             stable = done or np.array_equal(signs, before)
             if stable and not np.array_equal(signs, tried):
@@ -583,7 +587,11 @@ def _exact_finish(G, cvec, signs, spec, tol):
     the bound of the pass.  The last two catch what the pass misses: with
     a near-zero ``a1`` a point off its pattern moves by less than ``tol``,
     and a nearly singular ``G_AA`` gives a point so large that the
-    residual rounds away when the pass adds it.  Otherwise returns
+    residual rounds away when the pass adds it.  At a knot, an accepted
+    solve with active entries within ``tol`` of zero, the pass cannot tell
+    the pattern from the one without those entries: that one is solved
+    too and returned if it is accepted, so the sparsest accepted pattern
+    wins, from whichever side a search reaches it.  Otherwise returns
     ``(None, s)``: ``s`` holds the signs of the moved point, the next
     pattern of the active-set search, or is None when ``G_AA`` is singular
     or the moved point is not finite.  The solve is numpy's LU.
@@ -609,6 +617,12 @@ def _exact_finish(G, cvec, signs, spec, tol):
         b, s = cand[act], signs[act]
         slack = np.abs(r[act] - a1 * s - a2 * b) - tol * (w[act] + a2)
         if np.all(b * s >= 0.0) and np.all(slack <= 0.0):
+            knot = act & (np.abs(cand) <= tol)
+            if knot.any():
+                sparser, _ = _exact_finish(G, cvec, np.where(knot, 0.0, signs),
+                                           spec, tol)
+                if sparser is not None:
+                    return sparser, None
             return cand, None
     return None, np.sign(moved) if np.isfinite(gap) else None
 

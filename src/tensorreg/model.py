@@ -63,7 +63,6 @@ __all__ = [
     "effective_parameters",
     "bic",
     "select_rank",
-    "eta_gradient",
     "eta_hessian",
     "score_and_information",
     "log_density_hessian",
@@ -843,18 +842,6 @@ def select_rank(dataset, family, max_rank, config):
 # ---------------------------------------------------------------------------
 
 
-def eta_gradient(coeff, x):
-    """Gradient of ``eta = <B, x>`` in all CP entries, stacked by mode.
-
-    Block d is ``vec(X_(d) W_d)`` (column-major): the row of the one-sample
-    :func:`build_block_design` for mode d.
-    """
-    one = TensorGlmDataset(np.zeros(1), [x])
-    return np.concatenate(
-        [build_block_design(one, coeff, d)[0] for d in range(1, coeff.ndim + 1)]
-    )
-
-
 def eta_hessian(coeff, x):
     """Hessian of ``eta = <B, x>`` in all CP entries.
 
@@ -889,8 +876,8 @@ def free_parameter_index(dims, rank):
 
     Returns ``(index_map, keep)`` where ``index_map[(d, i, r)]`` (1-based
     mode, row, column) gives the flat position in the free vector and
-    ``keep`` is the boolean selector into the full stacked layout of
-    :func:`eta_gradient`.
+    ``keep`` selects the free entries among all CP entries, in the column
+    order of :func:`_eta_derivatives`.
     """
     D = len(dims)
     coords = [
@@ -925,43 +912,52 @@ class InferenceReport:
     condition_number: float
 
 
-def _eta_derivatives(model, dataset):
-    """``(G, w, r)``: the eta gradients and log-likelihood weights at ``model``.
+def _eta_derivatives(coeff, alpha, gamma, phi, family, dataset):
+    """``(G, w, r)``: the eta gradients and log-likelihood weights at a point.
 
-    Row i of ``G`` is the gradient of ``eta_i`` in (free CP entries, alpha,
-    gamma), filled mode by mode from :func:`build_block_design`.  With a
-    canonical link, ``d loglik_i / d eta_i = r_i = (y_i - mu_i) / a(phi)``
-    and ``d^2 loglik_i / d eta_i^2 = -w_i = -V(mu_i) / a(phi)``.
+    Row i of ``G`` is the gradient of ``eta_i`` in every CP entry, then in
+    alpha and gamma: the :func:`build_block_design` blocks of modes 1..D
+    side by side (mode d's columns are ``vec(B_d)``), a column of ones and
+    ``z``.  With a canonical link, ``d loglik_i / d eta_i = r_i = (y_i -
+    mu_i) / a(phi)`` and ``d^2 loglik_i / d eta_i^2 = -w_i = -V(mu_i) /
+    a(phi)``.
     """
-    _require_matching_data(dataset, model.dims, model.p0)
-    coeff, n = model.coeff, dataset.n
+    mu = family.mean(_linear_predictor(dataset, alpha, gamma, coeff))
     R = coeff.rank
-    _, keep = free_parameter_index(coeff.dims, R)
-    nfree = int(keep.sum())
-    G = np.empty((n, nfree + 1 + dataset.p0))
-    col = at = 0
+    G = np.empty((dataset.n, R * sum(coeff.dims) + 1 + gamma.size))
+    at = 0
     for d, p in enumerate(coeff.dims, start=1):
-        keep_d = keep[at : at + p * R]
-        width = int(keep_d.sum())
-        G[:, col : col + width] = build_block_design(dataset, coeff, d)[:, keep_d]
-        col, at = col + width, at + p * R
-    G[:, nfree] = 1.0
-    G[:, nfree + 1 :] = dataset.z
-    fam = model.family
-    a_phi = fam.a_phi(model.phi)
-    mu = model.predict_mean(dataset)
-    return G, fam.variance(mu) / a_phi, (dataset.y - mu) / a_phi
+        G[:, at : at + p * R] = build_block_design(dataset, coeff, d)
+        at += p * R
+    G[:, at] = 1.0
+    G[:, at + 1 :] = dataset.z
+    a_phi = family.a_phi(phi)
+    return G, family.variance(mu) / a_phi, (dataset.y - mu) / a_phi
+
+
+def _free_derivatives(model, dataset):
+    """The inference prologue: :func:`_eta_derivatives` at ``model`` with
+    ``G`` cut to the free parameters, then ``(index_map, keep)`` of
+    :func:`free_parameter_index`.  The cut is a C-ordered copy, so that the
+    products over ``G`` take the same BLAS path as a filled array."""
+    _require_matching_data(dataset, model.dims, model.p0)
+    index_map, keep = free_parameter_index(model.dims, model.rank)
+    G, w, r = _eta_derivatives(model.coeff, model.alpha, model.gamma,
+                               model.phi, model.family, dataset)
+    free = np.concatenate([keep, np.ones(1 + model.p0, dtype=bool)])
+    return np.compress(free, G, axis=1), w, r, index_map, keep
 
 
 def score_and_information(model, dataset):
     """Score vector and Fisher information over the free parametrization.
 
-    With the eta gradients ``G`` and weights of :func:`_eta_derivatives`,
-    the score is ``G'r`` and the information ``G'WG``: the per-sample
-    outer-product form summed over the sample, so standard errors are
-    square roots of the diagonal of its inverse directly.
+    With the free eta gradients ``G`` and the weights of
+    :func:`_free_derivatives`, the score is ``G'r`` and the information
+    ``G'WG``: the per-sample outer-product form summed over the sample, so
+    standard errors are square roots of the diagonal of its inverse
+    directly.
     """
-    G, w, r = _eta_derivatives(model, dataset)
+    G, w, r, index_map, _ = _free_derivatives(model, dataset)
     score = G.T @ r
     info = (G * w[:, None]).T @ G
     dim = info.shape[0]
@@ -982,7 +978,6 @@ def score_and_information(model, dataset):
     except np.linalg.LinAlgError as err:
         raise InferenceError(f"Fisher information: {err}") from None
     std = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    index_map, _ = free_parameter_index(model.dims, model.rank)
     nfree = len(index_map)
     return InferenceReport(
         score=score,
@@ -1000,16 +995,15 @@ def log_density_hessian(model, dataset):
 
     Minus the Fisher information ``G'WG`` of :func:`score_and_information`
     plus the score-weighted curvature of eta, ``sum_i r_i d^2 eta_i``, on
-    the free CP block (see :func:`_eta_derivatives` for ``G``, ``w`` and
-    ``r``).
+    the free CP block: :func:`eta_hessian` over every CP entry, cut by the
+    same ``keep`` as ``G`` (see :func:`_free_derivatives`).
     """
-    G, w, r = _eta_derivatives(model, dataset)
+    G, w, r, index_map, keep = _free_derivatives(model, dataset)
     H = (G * -w[:, None]).T @ G
     # The eta-curvature term is linear in x, so the weighted sample sum
     # collapses into one Hessian evaluation at the weighted covariate sum.
     xw = DenseTensor(model.dims, r @ dataset.x_matrix())
-    _, keep = free_parameter_index(model.dims, model.rank)
-    nfree = int(keep.sum())
+    nfree = len(index_map)
     H[:nfree, :nfree] += eta_hessian(model.coeff, xw)[np.ix_(keep, keep)]
     return H
 

@@ -64,8 +64,7 @@ class ShapeSpec:
             raise DomainError(
                 f"unknown shape {self.name!r}; choose from {SHAPE_NAMES}"
             )
-        if self.size < 16:
-            raise DomainError(f"shape size must be >= 16, got {self.size}")
+        _require_int("shape size", self.size, 16)
 
 
 def _square(s):
@@ -149,7 +148,8 @@ def generate_ball_signal(dims, centers):
     modes) or a per-mode sequence.  The rendered dense signal is a
     smooth blob per ball.
     """
-    dims = tuple(int(p) for p in dims)
+    dims = tuple(_require_int(f"mode {d} size", p, 1)
+                 for d, p in enumerate(dims, start=1))
     window = HALF_PERIOD + 1
     R = len(centers)
     if R < 1:
@@ -157,16 +157,14 @@ def generate_ball_signal(dims, centers):
     profile = np.sin(np.arange(window) * np.pi / HALF_PERIOD)
     factors = [np.zeros((p, R)) for p in dims]
     for r, center in enumerate(centers):
-        if np.isscalar(center):
-            offsets = [int(center)] * len(dims)
-        else:
-            offsets = [int(c) for c in center]
-            if len(offsets) != len(dims):
-                raise DomainError(
-                    f"ball {r + 1} gives {len(offsets)} offsets for {len(dims)} modes"
-                )
+        offsets = [center] * len(dims) if np.isscalar(center) else list(center)
+        if len(offsets) != len(dims):
+            raise DomainError(
+                f"ball {r + 1} gives {len(offsets)} offsets for {len(dims)} modes"
+            )
         for d, off in enumerate(offsets):
-            if off < 0 or off + window > dims[d]:
+            off = _require_int(f"ball {r + 1} offset", off, 0)
+            if off + window > dims[d]:
                 raise DomainError(
                     f"ball {r + 1} window [{off}, {off + window}) overflows "
                     f"mode {d + 1} of size {dims[d]}"

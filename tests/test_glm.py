@@ -770,7 +770,10 @@ class TestCoordinateDescent:
     )
     # a singular G_AA whose LU solution is huge; an elastic net with a1 of
     # 2e-15, where a point off its pattern passes the threshold pass; a
-    # lasso at its knot; sweeps that creep along a repeated column
+    # lasso at its knot; sweeps that creep along a repeated column; two
+    # lasso knots where the sweeps reach the active pattern and the search
+    # the empty one, each accepted, with the active entry within tol of 0;
+    # a knot where the sweeps end on rounding noise of the wrong sign
     @example(seed=2, p=2, extra_rows=7, family="lasso", lam=1.0,
              rho_share=0.015625, warm=True, collinear=True)
     @example(seed=0, p=5, extra_rows=1, family="elastic_net",
@@ -779,6 +782,12 @@ class TestCoordinateDescent:
              rho_share=1.0, warm=False, collinear=False)
     @example(seed=500, p=2, extra_rows=9, family="lasso", lam=1.0,
              rho_share=0.01171875, warm=True, collinear=True)
+    @example(seed=0, p=1, extra_rows=1, family="lasso", lam=1.0,
+             rho_share=0.9999999999998099, warm=False, collinear=False)
+    @example(seed=3042, p=1, extra_rows=15, family="lasso", lam=1.0,
+             rho_share=1.0, warm=True, collinear=False)
+    @example(seed=4294967294, p=1, extra_rows=10, family="lasso", lam=1.0,
+             rho_share=1.0000000000000002, warm=True, collinear=False)
     def test_pattern_search_returns_what_the_sweeps_return(
         self, seed, p, extra_rows, family, lam, rho_share, warm, collinear
     ):

@@ -28,7 +28,6 @@ from tensorreg.model import (
     build_block_design,
     check_uniqueness,
     effective_parameters,
-    eta_gradient,
     eta_hessian,
     fit,
     free_parameter_index,
@@ -956,6 +955,15 @@ def eta_of_flat(coeff, x, theta):
         factors.append(block)
         pos += p * R
     return inner(cp_to_full(CpTensor(factors)), x)
+
+
+def eta_gradient(coeff, x):
+    """Gradient of ``eta = <B, x>`` in all CP entries, stacked by mode:
+    the rows of the one-sample block designs of modes 1..D."""
+    one = TensorGlmDataset(np.zeros(1), [x])
+    return np.concatenate(
+        [build_block_design(one, coeff, d)[0] for d in range(1, coeff.ndim + 1)]
+    )
 
 
 def flat_of_factors(coeff):

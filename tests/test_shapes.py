@@ -55,6 +55,11 @@ class TestShapes:
         with pytest.raises(DomainError):
             ShapeSpec("square", 8)
 
+    @pytest.mark.parametrize("size", [16.5, "64"], ids=["float", "str"])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(DomainError, match="shape size must be an integer"):
+            ShapeSpec("cross", size)
+
 
 class TestBallSignal:
     def test_single_ball_window(self):
@@ -87,13 +92,18 @@ class TestBallSignal:
 
 
 class TestBallSignalErrors:
-    @pytest.mark.parametrize("centers, message", [
-        ([], "need at least one ball"),
-        ([(0, 0)], "ball 1 gives 2 offsets for 3 modes"),
-    ], ids=["no-balls", "offsets"])
-    def test_is_named(self, centers, message):
+    @pytest.mark.parametrize("dims, centers, message", [
+        ((16, 16, 16), [], "need at least one ball"),
+        ((16, 16, 16), [(0, 0)], "ball 1 gives 2 offsets for 3 modes"),
+        ((16, 16, 16), [0, (1, np.nan, 1)], "ball 2 offset must be an integer, got nan"),
+        ((16, 16, 16), [2.7], "ball 1 offset must be an integer, got 2.7"),
+        ((16, 16, 16), [(1, 1, -1)], "ball 1 offset must be >= 0, got -1"),
+        ((16, -1, 16), [0], "mode 2 size must be >= 1, got -1"),
+    ], ids=["no-balls", "offsets", "nan-offset", "fractional-offset",
+            "negative-offset", "negative-dim"])
+    def test_is_named(self, dims, centers, message):
         with pytest.raises(DomainError, match=message):
-            generate_ball_signal((16, 16, 16), centers)
+            generate_ball_signal(dims, centers)
 
 
 class TestSimulate:
