@@ -510,7 +510,10 @@ def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
     leaves the support and the signs unchanged, and the sweep that meets
     ``tol``, are followed by the same exact solve on that active set
     (Friedman, Hastie & Tibshirani, JSS 2010), so that both paths return
-    the same solve of the same pattern.  The support leaves out entries
+    the same solve of the same pattern.  A rejected solve is followed by
+    one active-set step to the signs of its thresholded point: on a
+    repeated column the sweeps creep towards that pattern by only
+    ``2 a1 / G_jj`` a sweep.  The support leaves out entries
     within ``tol`` of zero: at a knot of the penalty both paths return the
     sparser pattern's solve (see :func:`_exact_finish`).  A solve is
     returned only if it is a fixed point of the sweep to within ``tol``,
@@ -550,7 +553,10 @@ def _cd_on_quadratic(G, cvec, beta, spec, tol, max_sweeps):
             stable = done or np.array_equal(signs, before)
             if stable and not np.array_equal(signs, tried):
                 tried = signs
-                cand, _ = _exact_finish(G, cvec, signs, spec, tol)
+                cand, nxt = _exact_finish(G, cvec, signs, spec, tol)
+                if cand is None and nxt is not None and not np.array_equal(nxt, signs):
+                    # one active-set step: the sweeps may creep towards it
+                    cand, _ = _exact_finish(G, cvec, nxt, spec, tol)
                 if cand is not None:
                     return cand
         if done:
@@ -563,7 +569,7 @@ def _pattern_search(G, cvec, signs, spec, tol):
 
     Each step is one :func:`_exact_finish`; a rejected pattern is followed
     by the signs of its thresholded point.  None when a pattern repeats,
-    an active set is singular, or ``_MAX_PATTERNS`` patterns were tried.
+    a moved point is not finite, or ``_MAX_PATTERNS`` patterns were tried.
     """
     tried = []
     for _ in range(_MAX_PATTERNS):
@@ -593,8 +599,10 @@ def _exact_finish(G, cvec, signs, spec, tol):
     too and returned if it is accepted, so the sparsest accepted pattern
     wins, from whichever side a search reaches it.  Otherwise returns
     ``(None, s)``: ``s`` holds the signs of the moved point, the next
-    pattern of the active-set search, or is None when ``G_AA`` is singular
-    or the moved point is not finite.  The solve is numpy's LU.
+    pattern of the active-set search, or is None when the moved point is
+    not finite.  The solve is numpy's LU; a singular ``G_AA`` (a repeated
+    column) is solved by least squares, whose minimum-norm solution the
+    same checks accept or reject.
     """
     a1, a2 = spec.quadratic_piece
     diag = G.diagonal()
@@ -606,8 +614,8 @@ def _exact_finish(G, cvec, signs, spec, tol):
     cand = np.zeros_like(cvec)
     try:
         cand[act] = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:  # singular G_AA
-        return None, None
+    except np.linalg.LinAlgError:  # singular G_AA: its minimum-norm solve
+        cand[act] = np.linalg.lstsq(M, rhs, rcond=None)[0]
     w = np.where(live, diag, 1.0)
     r = cvec - G @ cand
     moved = threshold_update(spec, cand + r / w, w)

@@ -773,7 +773,9 @@ class TestCoordinateDescent:
     # lasso at its knot; sweeps that creep along a repeated column; two
     # lasso knots where the sweeps reach the active pattern and the search
     # the empty one, each accepted, with the active entry within tol of 0;
-    # a knot where the sweeps end on rounding noise of the wrong sign
+    # a knot where the sweeps end on rounding noise of the wrong sign; a
+    # repeated column whose active set is exactly singular, with sweeps
+    # that creep for longer than the budget from a pattern of mixed signs
     @example(seed=2, p=2, extra_rows=7, family="lasso", lam=1.0,
              rho_share=0.015625, warm=True, collinear=True)
     @example(seed=0, p=5, extra_rows=1, family="elastic_net",
@@ -788,6 +790,8 @@ class TestCoordinateDescent:
              rho_share=1.0, warm=True, collinear=False)
     @example(seed=4294967294, p=1, extra_rows=10, family="lasso", lam=1.0,
              rho_share=1.0000000000000002, warm=True, collinear=False)
+    @example(seed=72001, p=2, extra_rows=16, family="lasso", lam=1.0,
+             rho_share=0.01171875, warm=True, collinear=True)
     def test_pattern_search_returns_what_the_sweeps_return(
         self, seed, p, extra_rows, family, lam, rho_share, warm, collinear
     ):
